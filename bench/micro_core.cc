@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the building blocks on the hot
 // paths of the simulation: the event queue, the topology delay oracle,
-// partial-tree construction + MLC selection, the per-outage recovery model,
-// and a full small churn scenario.
+// tree walks and relaxed BO/TO joins on paper-scale overlays, partial-tree
+// construction + MLC selection, the per-outage recovery model, and a full
+// small churn scenario.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -11,6 +12,7 @@
 #include "core/cer/recovery.h"
 #include "exp/scenario.h"
 #include "net/topology.h"
+#include "rand/distributions.h"
 #include "rand/rng.h"
 #include "sim/simulator.h"
 
@@ -173,6 +175,70 @@ void BM_DelayOracle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DelayOracle);
+
+// --- tree ops on prepopulated paper-scale overlays --------------------------
+//
+// Members from state.range(0) (2k / 10k) on the paper's GT-ITM topology. A
+// relaxed BO/TO fresh join scans the whole rooted tree along its preorder
+// thread, then places (possibly evicting); ForEachDescendant from the root
+// is that walk alone.
+
+const net::Topology& PaperTopology() {
+  static const net::Topology* topology = [] {
+    rnd::Rng rng(1);
+    return new net::Topology(
+        net::Topology::Generate(net::PaperTopologyParams(), rng));
+  }();
+  return *topology;
+}
+
+void BM_ForEachDescendantFromRoot(benchmark::State& state) {
+  sim::Simulator sim;
+  overlay::Session session(
+      sim, PaperTopology(),
+      exp::MakeProtocol(exp::Algorithm::kMinDepth, core::RostParams{}),
+      overlay::SessionParams{}, 3);
+  session.Prepopulate(static_cast<int>(state.range(0)));
+  const overlay::Tree& tree = session.tree();
+  std::size_t visited = 0;
+  for (auto _ : state) {
+    std::size_t count = 0;
+    tree.ForEachDescendant(overlay::kRootId,
+                           [&count](overlay::NodeId) { ++count; });
+    benchmark::DoNotOptimize(count);
+    visited = count;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(visited));
+}
+BENCHMARK(BM_ForEachDescendantFromRoot)->Arg(2000)->Arg(10000);
+
+// Each iteration injects one more member (lifetime far past the run), so a
+// fixed iteration count bounds the overlay's growth to 5% at 2k.
+void BM_RelaxedJoin(benchmark::State& state) {
+  const bool time_ordered = state.range(1) == 1;
+  sim::Simulator sim;
+  overlay::Session session(
+      sim, PaperTopology(),
+      exp::MakeProtocol(time_ordered ? exp::Algorithm::kRelaxedTo
+                                     : exp::Algorithm::kRelaxedBo,
+                        core::RostParams{}),
+      overlay::SessionParams{}, 3);
+  session.Prepopulate(static_cast<int>(state.range(0)));
+  rnd::Rng rng(11);
+  const rnd::BoundedPareto bandwidth = rnd::PaperBandwidthDist();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.InjectMember(bandwidth.Sample(rng), 1e6));
+  }
+  state.SetLabel(time_ordered ? "relaxed-TO" : "relaxed-BO");
+}
+BENCHMARK(BM_RelaxedJoin)
+    ->Args({2000, 0})
+    ->Args({2000, 1})
+    ->Args({10000, 0})
+    ->Args({10000, 1})
+    ->Iterations(100)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MlcSelection(benchmark::State& state) {
   // A realistic partial view: ~100 known members of a churned overlay.

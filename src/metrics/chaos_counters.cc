@@ -96,16 +96,6 @@ ChaosCounters CountersFromRegistry(const obs::Registry& registry) {
   return c;
 }
 
-ChaosCounters CollectChaosCounters(const sim::FaultPlane* fault_plane,
-                                   const overlay::HeartbeatService* heartbeat,
-                                   const core::RostProtocol* rost,
-                                   const overlay::GossipService* gossip,
-                                   const stream::PacketLevelStream* stream,
-                                   sim::Time now) {
-  return CountersFromRegistry(CollectChaosRegistry(fault_plane, heartbeat,
-                                                   rost, gossip, stream, now));
-}
-
 std::string FormatChaosCounters(const ChaosCounters& c) {
   std::ostringstream os;
   os << "control plane: sent " << c.messages_sent << ", dropped "

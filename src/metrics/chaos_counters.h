@@ -73,14 +73,6 @@ obs::Registry CollectChaosRegistry(const sim::FaultPlane* fault_plane,
 // the same "chaos.*" names).
 ChaosCounters CountersFromRegistry(const obs::Registry& registry);
 
-// Compatibility wrapper: CollectChaosRegistry |> CountersFromRegistry.
-ChaosCounters CollectChaosCounters(const sim::FaultPlane* fault_plane,
-                                   const overlay::HeartbeatService* heartbeat,
-                                   const core::RostProtocol* rost,
-                                   const overlay::GossipService* gossip,
-                                   const stream::PacketLevelStream* stream,
-                                   sim::Time now);
-
 // Multi-line human-readable dump (examples / debugging).
 std::string FormatChaosCounters(const ChaosCounters& c);
 

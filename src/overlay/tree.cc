@@ -37,6 +37,7 @@ Tree::Tree(net::HostId root_host, double root_bandwidth) {
   last_child_.push_back(kNoNode);
   prev_sibling_.push_back(kNoNode);
   next_sibling_.push_back(kNoNode);
+  preorder_next_.push_back(kNoNode);
   child_count_.push_back(0);
   layer_.push_back(0);
   capacity_.push_back(CapacityFor(root_bandwidth));
@@ -61,6 +62,7 @@ NodeId Tree::CreateMember(net::HostId host, double bandwidth,
   last_child_.push_back(kNoNode);
   prev_sibling_.push_back(kNoNode);
   next_sibling_.push_back(kNoNode);
+  preorder_next_.push_back(kNoNode);
   child_count_.push_back(0);
   layer_.push_back(0);
   capacity_.push_back(CapacityFor(bandwidth));
@@ -123,12 +125,26 @@ void Tree::Attach(NodeId parent, NodeId child) {
   AppendChild(parent, child);
   parent_[static_cast<std::size_t>(child)] = parent;
   in_tree_[static_cast<std::size_t>(child)] = 1;
+  // The newest child is the first of its parent's children on the thread:
+  // splice the fragment's whole thread in right after the parent.
+  const auto last = static_cast<std::size_t>(SubtreeLast(child));
+  preorder_next_[last] = preorder_next_[static_cast<std::size_t>(parent)];
+  preorder_next_[static_cast<std::size_t>(parent)] = child;
   RecomputeLayers(child);
 }
 
 void Tree::Detach(NodeId child) {
   const NodeId parent = Parent(child);
   util::Check(parent != kNoNode, "detach requires an attached member");
+  // The block of `child` follows the block of the sibling attached after it,
+  // or the parent itself when `child` is the newest; cut it out and close it
+  // into a thread of its own.
+  const NodeId newer = next_sibling_[static_cast<std::size_t>(child)];
+  const auto before =
+      static_cast<std::size_t>(newer == kNoNode ? parent : SubtreeLast(newer));
+  const auto last = static_cast<std::size_t>(SubtreeLast(child));
+  preorder_next_[before] = preorder_next_[last];
+  preorder_next_[last] = kNoNode;
   UnlinkChild(parent, child);
   parent_[static_cast<std::size_t>(child)] = kNoNode;
   in_tree_[static_cast<std::size_t>(child)] = 0;
@@ -139,6 +155,7 @@ std::vector<NodeId> Tree::RemoveFromTree(NodeId id) {
   std::vector<NodeId> orphans = Children(id);
   for (NodeId c : orphans) {
     const auto ci = static_cast<std::size_t>(c);
+    preorder_next_[static_cast<std::size_t>(SubtreeLast(c))] = kNoNode;
     parent_[ci] = kNoNode;
     prev_sibling_[ci] = kNoNode;
     next_sibling_[ci] = kNoNode;
@@ -147,6 +164,7 @@ std::vector<NodeId> Tree::RemoveFromTree(NodeId id) {
   const auto i = static_cast<std::size_t>(id);
   first_child_[i] = kNoNode;
   last_child_[i] = kNoNode;
+  preorder_next_[i] = kNoNode;
   child_count_[i] = 0;
   in_tree_[i] = 0;
   return orphans;
@@ -169,21 +187,6 @@ bool Tree::IsInSubtreeOf(NodeId id, NodeId maybe_ancestor) const {
     cur = Parent(cur);
   }
   return false;
-}
-
-void Tree::ForEachDescendant(NodeId id,
-                             const std::function<void(NodeId)>& fn) const {
-  // Stack DFS seeded with the children in attach order; pushing each child
-  // list in order and popping from the back preserves the visit order of
-  // the previous vector<NodeId> representation exactly.
-  std::vector<NodeId> stack = Children(id);
-  while (!stack.empty()) {
-    const NodeId cur = stack.back();
-    stack.pop_back();
-    fn(cur);
-    for (NodeId c = FirstChild(cur); c != kNoNode; c = NextSibling(c))
-      stack.push_back(c);
-  }
 }
 
 std::size_t Tree::CountDescendants(NodeId id) const {
@@ -236,16 +239,11 @@ void Tree::RecomputeLayers(NodeId fragment_root) {
   util::Check(p != kNoNode, "fragment root must be attached");
   layer_[static_cast<std::size_t>(fragment_root)] =
       layer_[static_cast<std::size_t>(p)] + 1;
-  std::vector<NodeId> stack = {fragment_root};
-  while (!stack.empty()) {
-    const NodeId cur = stack.back();
-    stack.pop_back();
-    const std::int32_t next_layer = layer_[static_cast<std::size_t>(cur)] + 1;
-    for (NodeId c = FirstChild(cur); c != kNoNode; c = NextSibling(c)) {
-      layer_[static_cast<std::size_t>(c)] = next_layer;
-      stack.push_back(c);
-    }
-  }
+  // Preorder reaches every parent before its children.
+  ForEachDescendant(fragment_root, [this](NodeId v) {
+    const auto i = static_cast<std::size_t>(v);
+    layer_[i] = layer_[static_cast<std::size_t>(parent_[i])] + 1;
+  });
 }
 
 void Tree::CheckInvariants() const {
@@ -286,6 +284,30 @@ void Tree::CheckInvariants() const {
     }
     if (id == kRootId)
       util::Check(Parent(id) == kNoNode, "root has no parent");
+  }
+
+  // The thread of every fragment lists it in the order of a stack DFS that
+  // pushes each child list in attach order, and ends with the fragment.
+  std::vector<NodeId> stack;
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (alive_[i] == 0) {
+      util::Check(preorder_next_[i] == kNoNode, "dead member still threaded");
+      continue;
+    }
+    if (parent_[i] != kNoNode) continue;
+    NodeId threaded = static_cast<NodeId>(i);
+    stack.assign(1, threaded);
+    while (!stack.empty()) {
+      const NodeId cur = stack.back();
+      stack.pop_back();
+      if (threaded != cur)
+        util::Fail("preorder thread out of DFS order at node " +
+                   std::to_string(cur));
+      threaded = preorder_next_[static_cast<std::size_t>(cur)];
+      for (NodeId c = FirstChild(cur); c != kNoNode; c = NextSibling(c))
+        stack.push_back(c);
+    }
+    util::Check(threaded == kNoNode, "preorder thread runs past its fragment");
   }
 }
 

@@ -14,10 +14,17 @@
 // iteration order of the std::vector push_back/erase(find) representation it
 // replaced -- replay digests depend on that order, and the determinism tests
 // in tests/test_determinism_replay.cc pin it.
+//
+// Every fragment (the rooted tree, each orphaned fragment, each loose
+// member) is also threaded in preorder, one successor link per node: a node
+// is followed by its children's subtrees in REVERSE attach order, the order a
+// stack DFS pushing each child list in attach order visits them. A subtree is
+// thus one contiguous block of its fragment's thread that ends at the leaf of
+// its first-child chain, so subtree walks need no stack, and Attach, Detach
+// and RemoveFromTree splice the thread in O(subtree height).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "overlay/member.h"
@@ -82,6 +89,12 @@ class Tree {
   NodeId NextSibling(NodeId id) const {
     CheckId(id);
     return next_sibling_[static_cast<std::size_t>(id)];
+  }
+  // Successor of `id` on its fragment's preorder thread; kNoNode after the
+  // fragment's last member. Walking it from kRootId visits the rooted tree.
+  NodeId PreorderNext(NodeId id) const {
+    CheckId(id);
+    return preorder_next_[static_cast<std::size_t>(id)];
   }
 
   // Lightweight forward range over `id`'s children in attach order; a
@@ -167,8 +180,17 @@ class Tree {
   bool IsInSubtreeOf(NodeId id, NodeId maybe_ancestor) const;
 
   // Applies `fn` to every member of the subtree rooted at `id`, excluding
-  // `id` itself.
-  void ForEachDescendant(NodeId id, const std::function<void(NodeId)>& fn) const;
+  // `id` itself, in thread order (children in reverse attach order). No
+  // allocation. Like ChildrenOf, the walk follows the LIVE links: `fn` must
+  // not Attach/Detach/RemoveFromTree.
+  template <typename Fn>
+  void ForEachDescendant(NodeId id, Fn&& fn) const {
+    const NodeId last = SubtreeLast(id);
+    for (NodeId v = id; v != last;) {
+      v = preorder_next_[static_cast<std::size_t>(v)];
+      fn(v);
+    }
+  }
 
   std::size_t CountDescendants(NodeId id) const;
 
@@ -196,6 +218,15 @@ class Tree {
   // the attach order of the remaining children intact.
   void AppendChild(NodeId parent, NodeId child);
   void UnlinkChild(NodeId parent, NodeId child);
+  // Last node of `id`'s block on the thread: the leaf of its first-child
+  // chain (`id` itself when it has no children). O(subtree height).
+  NodeId SubtreeLast(NodeId id) const {
+    CheckId(id);
+    for (NodeId c = first_child_[static_cast<std::size_t>(id)]; c != kNoNode;
+         c = first_child_[static_cast<std::size_t>(c)])
+      id = c;
+    return id;
+  }
   void RecomputeLayers(NodeId fragment_root);
   std::vector<NodeId> PathToRoot(NodeId id) const;  // id first, root last
 
@@ -206,6 +237,7 @@ class Tree {
   std::vector<NodeId> last_child_;
   std::vector<NodeId> prev_sibling_;
   std::vector<NodeId> next_sibling_;
+  std::vector<NodeId> preorder_next_;
   std::vector<std::int32_t> child_count_;
   std::vector<std::int32_t> layer_;
   std::vector<std::int32_t> capacity_;

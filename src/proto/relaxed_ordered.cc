@@ -7,7 +7,6 @@
 namespace omcast::proto {
 
 using overlay::kNoNode;
-using overlay::Member;
 using overlay::NodeId;
 using overlay::Session;
 
@@ -41,31 +40,34 @@ bool RelaxedOrderedProtocol::TryAttach(Session& session, NodeId id) {
   return true;
 }
 
+void RelaxedOrderedProtocol::SortStrongestFirst(
+    const overlay::Tree& tree, std::vector<NodeId>& ids) const {
+  std::sort(ids.begin(), ids.end(), [&](NodeId a, NodeId b) {
+    return RankKey(tree.Get(a)) > RankKey(tree.Get(b));
+  });
+}
+
 NodeId RelaxedOrderedProtocol::PlaceOne(Session& session, NodeId id) {
   overlay::Tree& tree = session.tree();
-  const Member& joining = tree.Get(id);
 
   // One pass over the rooted tree collecting, per layer, the weakest few
   // outranked incumbents, a reservoir of spare-capacity slots, and the
-  // global spare total. Layers are identified via the maintained `layer`
-  // field, so a simple DFS suffices.
+  // global spare total. The pass follows the tree's preorder thread, which
+  // lists the members in the order the reservoir's RNG draws depend on.
   long spare_total = 0;
   int max_layer = 0;
-  for (auto& s : layer_summaries_) s = LayerSummary{};
-  scan_stack_.clear();
-  scan_stack_.push_back(overlay::kRootId);
-  while (!scan_stack_.empty()) {
-    const NodeId v = scan_stack_.back();
-    scan_stack_.pop_back();
-    const Member& m = tree.Get(v);
-    for (NodeId c : tree.ChildrenOf(v)) scan_stack_.push_back(c);
+  LayerSummary fresh;
+  fresh.threshold = RankKey(tree.Get(id));
+  std::fill(layer_summaries_.begin(), layer_summaries_.end(), fresh);
+  for (NodeId v = overlay::kRootId; v != kNoNode; v = tree.PreorderNext(v)) {
     const int layer = tree.Layer(v);
     if (static_cast<std::size_t>(layer) >= layer_summaries_.size())
-      layer_summaries_.resize(static_cast<std::size_t>(layer) + 1);
+      layer_summaries_.resize(static_cast<std::size_t>(layer) + 1, fresh);
     LayerSummary& summary = layer_summaries_[static_cast<std::size_t>(layer)];
     max_layer = std::max(max_layer, layer);
-    if (tree.SpareCapacity(v) > 0) {
-      spare_total += tree.SpareCapacity(v);
+    const int spare = tree.SpareCapacity(v);
+    if (spare > 0) {
+      spare_total += spare;
       // Reservoir sample of spare slots (the delay tie-break is applied to
       // this sample rather than every slot in the layer).
       ++summary.spare_seen;
@@ -77,19 +79,25 @@ NodeId RelaxedOrderedProtocol::PlaceOne(Session& session, NodeId id) {
         if (j < kCandidatesPerLayer) summary.spare[j] = v;
       }
     }
-    if (!m.IsRoot() && Outranks(joining, m)) {
-      // Bounded insertion sort keeping the weakest candidates first.
-      const int n = summary.weakest_count;
-      const bool full = n == kCandidatesPerLayer;
-      if (!(full && !RanksHigher(tree.Get(summary.weakest[n - 1]), m))) {
-        int j = full ? n - 1 : n;
-        while (j > 0 && RanksHigher(tree.Get(summary.weakest[j - 1]), m)) {
-          summary.weakest[j] = summary.weakest[j - 1];
-          --j;
-        }
-        summary.weakest[j] = v;
-        if (!full) summary.weakest_count = n + 1;
+    const double key = RankKey(tree.Get(v));
+    if (key < summary.threshold && v != overlay::kRootId) {
+      // Bounded insertion sort keeping the weakest candidates first; when
+      // the list is full its strongest entry drops out.
+      int j = summary.weakest_count;
+      if (j < kCandidatesPerLayer) {
+        ++summary.weakest_count;
+      } else {
+        --j;
       }
+      while (j > 0 && summary.weakest_key[j - 1] > key) {
+        summary.weakest[j] = summary.weakest[j - 1];
+        summary.weakest_key[j] = summary.weakest_key[j - 1];
+        --j;
+      }
+      summary.weakest[j] = v;
+      summary.weakest_key[j] = key;
+      if (summary.weakest_count == kCandidatesPerLayer)
+        summary.threshold = summary.weakest_key[kCandidatesPerLayer - 1];
     }
   }
 
@@ -107,9 +115,7 @@ NodeId RelaxedOrderedProtocol::PlaceOne(Session& session, NodeId id) {
         std::min<int>(tree.SpareCapacity(id), tree.ChildCount(v));
     long lost = tree.SpareCapacity(v);
     std::vector<NodeId> children = tree.Children(v);
-    std::sort(children.begin(), children.end(), [&](NodeId a, NodeId b) {
-      return RanksHigher(tree.Get(a), tree.Get(b));
-    });
+    SortStrongestFirst(tree, children);
     for (std::size_t i = static_cast<std::size_t>(adoptable);
          i < children.size(); ++i) {
       lost += tree.SpareCapacity(children[i]);
@@ -173,9 +179,7 @@ void RelaxedOrderedProtocol::Replace(Session& session, NodeId incumbent,
   // the evicted member itself loses its slot and is off the stream until
   // its own rejoin completes -- one streaming disruption.
   std::vector<NodeId> children = tree.Children(incumbent);
-  std::sort(children.begin(), children.end(), [&](NodeId a, NodeId b) {
-    return RanksHigher(tree.Get(a), tree.Get(b));
-  });
+  SortStrongestFirst(tree, children);
   const int adoptable = std::min<int>(tree.SpareCapacity(joining),
                                       static_cast<int>(children.size()));
   for (NodeId c : children) tree.Detach(c);
@@ -192,27 +196,6 @@ void RelaxedOrderedProtocol::Replace(Session& session, NodeId incumbent,
       session.ForceRejoin(c);
     }
   }
-}
-
-bool RelaxedBandwidthOrderedProtocol::Outranks(const Member& joining,
-                                               const Member& incumbent) const {
-  return joining.bandwidth > incumbent.bandwidth;
-}
-
-bool RelaxedBandwidthOrderedProtocol::RanksHigher(const Member& a,
-                                                  const Member& b) const {
-  return a.bandwidth > b.bandwidth;
-}
-
-bool RelaxedTimeOrderedProtocol::Outranks(const Member& joining,
-                                          const Member& incumbent) const {
-  // Older == smaller join time (ages compared at a common instant).
-  return joining.join_time < incumbent.join_time;
-}
-
-bool RelaxedTimeOrderedProtocol::RanksHigher(const Member& a,
-                                             const Member& b) const {
-  return a.join_time < b.join_time;
 }
 
 }  // namespace omcast::proto

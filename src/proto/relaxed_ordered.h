@@ -26,18 +26,22 @@ class RelaxedOrderedProtocol : public overlay::Protocol {
   bool TryAttach(overlay::Session& session, overlay::NodeId id) override;
 
  protected:
-  // True if `joining` strictly outranks `incumbent` under this ordering
-  // (bandwidth for BO, age for TO).
-  virtual bool Outranks(const overlay::Member& joining,
-                        const overlay::Member& incumbent) const = 0;
-
-  // Strict weak order ranking members "strongest first"; used both to pick
-  // the weakest incumbent of a layer to replace and to decide which of the
-  // evicted node's children the replacement keeps.
-  virtual bool RanksHigher(const overlay::Member& a,
-                           const overlay::Member& b) const = 0;
+  // What ranks a member: its bandwidth (BO) or its age (TO).
+  enum class Order { kBandwidth, kAge };
+  explicit RelaxedOrderedProtocol(Order order) : order_(order) {}
 
  private:
+  // A member ranks higher than another iff its key is larger: bandwidth, or
+  // the negated join time (older == earlier join). Read from the Member
+  // record at use time, since a join time may be rewritten after placement.
+  double RankKey(const overlay::Member& m) const {
+    return order_ == Order::kBandwidth ? m.bandwidth : -m.join_time;
+  }
+  // Sorts `ids` strongest (largest key) first: the order in which the
+  // replacement adopts an evicted node's children.
+  void SortStrongestFirst(const overlay::Tree& tree,
+                          std::vector<overlay::NodeId>& ids) const;
+
   // Places `id` once: returns the evicted member (to be re-placed by the
   // caller), kNoNode if a spare slot was used, or the not-placed sentinel.
   overlay::NodeId PlaceOne(overlay::Session& session, overlay::NodeId id);
@@ -48,36 +52,33 @@ class RelaxedOrderedProtocol : public overlay::Protocol {
   // free on the hot path (one global scan per join at 14k members).
   static constexpr int kCandidatesPerLayer = 8;
   struct LayerSummary {
-    overlay::NodeId weakest[kCandidatesPerLayer];  // outranked, weakest first
+    // Outranked incumbents, weakest first, with their rank keys. A member
+    // enters iff its key is below `threshold`: the joiner's key, or once the
+    // list is full the key of its strongest (last) entry.
+    overlay::NodeId weakest[kCandidatesPerLayer] = {};
+    double weakest_key[kCandidatesPerLayer] = {};
     int weakest_count = 0;
-    overlay::NodeId spare[kCandidatesPerLayer];  // reservoir of spare slots
+    double threshold = 0.0;
+    // Reservoir sample of spare-capacity members.
+    overlay::NodeId spare[kCandidatesPerLayer] = {};
     int spare_count = 0;
     long spare_seen = 0;
   };
   std::vector<LayerSummary> layer_summaries_;
-  std::vector<overlay::NodeId> scan_stack_;
+  const Order order_;
 };
 
 class RelaxedBandwidthOrderedProtocol final : public RelaxedOrderedProtocol {
  public:
+  RelaxedBandwidthOrderedProtocol()
+      : RelaxedOrderedProtocol(Order::kBandwidth) {}
   std::string name() const override { return "relaxed-bw-ordered"; }
-
- protected:
-  bool Outranks(const overlay::Member& joining,
-                const overlay::Member& incumbent) const override;
-  bool RanksHigher(const overlay::Member& a,
-                   const overlay::Member& b) const override;
 };
 
 class RelaxedTimeOrderedProtocol final : public RelaxedOrderedProtocol {
  public:
+  RelaxedTimeOrderedProtocol() : RelaxedOrderedProtocol(Order::kAge) {}
   std::string name() const override { return "relaxed-time-ordered"; }
-
- protected:
-  bool Outranks(const overlay::Member& joining,
-                const overlay::Member& incumbent) const override;
-  bool RanksHigher(const overlay::Member& a,
-                   const overlay::Member& b) const override;
 };
 
 }  // namespace omcast::proto

@@ -15,6 +15,21 @@ class TreeTest : public ::testing::Test {
                               bandwidth, join, life);
   }
 
+  // What ForEachDescendant yields for `id`, in order.
+  std::vector<NodeId> Walk(NodeId id) const {
+    std::vector<NodeId> seen;
+    tree_.ForEachDescendant(id, [&](NodeId d) { seen.push_back(d); });
+    return seen;
+  }
+
+  // The preorder thread from `from` to the end of its fragment.
+  std::vector<NodeId> Thread(NodeId from) const {
+    std::vector<NodeId> seen;
+    for (NodeId v = from; v != kNoNode; v = tree_.PreorderNext(v))
+      seen.push_back(v);
+    return seen;
+  }
+
   Tree tree_;
   int next_host_ = 1;
 };
@@ -119,11 +134,136 @@ TEST_F(TreeTest, ForEachDescendantVisitsWholeSubtreeOnce) {
   tree_.Attach(a, b);
   tree_.Attach(a, c);
   tree_.Attach(b, d);
-  std::vector<NodeId> seen;
-  tree_.ForEachDescendant(a, [&](NodeId id) { seen.push_back(id); });
-  EXPECT_EQ(seen.size(), 3u);
+  // A stack DFS pushing each child list in attach order pops c before b,
+  // and replay digests pin that order.
+  EXPECT_EQ(Walk(a), (std::vector<NodeId>{c, b, d}));
+  EXPECT_EQ(Thread(kRootId), (std::vector<NodeId>{kRootId, a, c, b, d}));
   EXPECT_EQ(tree_.CountDescendants(a), 3u);
   EXPECT_EQ(tree_.CountDescendants(d), 0u);
+}
+
+TEST_F(TreeTest, AttachSplicesFragmentBeforeExistingChildren) {
+  // a already has children b and c; the fragment f -> {g -> h, i} is built
+  // in the rooted tree, split off, then attached under a.
+  const NodeId a = Add(3.0);
+  const NodeId b = Add(1.0);
+  const NodeId c = Add(1.0);
+  const NodeId f = Add(2.0);
+  const NodeId g = Add(1.0);
+  const NodeId h = Add(1.0);
+  const NodeId i = Add(1.0);
+  tree_.Attach(kRootId, a);
+  tree_.Attach(a, b);
+  tree_.Attach(a, c);
+  tree_.Attach(kRootId, f);
+  tree_.Attach(f, g);
+  tree_.Attach(f, i);
+  tree_.Attach(g, h);
+  tree_.Detach(f);
+  EXPECT_EQ(Thread(f), (std::vector<NodeId>{f, i, g, h}));
+  EXPECT_EQ(Thread(kRootId), (std::vector<NodeId>{kRootId, a, c, b}));
+  tree_.CheckInvariants();
+
+  tree_.Attach(a, f);
+  EXPECT_EQ(Walk(a), (std::vector<NodeId>{f, i, g, h, c, b}));
+  EXPECT_EQ(Walk(f), (std::vector<NodeId>{i, g, h}));
+  EXPECT_EQ(Thread(kRootId),
+            (std::vector<NodeId>{kRootId, a, f, i, g, h, c, b}));
+  EXPECT_EQ(tree_.Layer(h), 4);
+  tree_.CheckInvariants();
+}
+
+TEST_F(TreeTest, DetachCutsMiddleChildOutOfThread) {
+  // a -> {b, c, d} in attach order, each with one child.
+  const NodeId a = Add(3.0);
+  const NodeId b = Add(1.0);
+  const NodeId c = Add(1.0);
+  const NodeId d = Add(1.0);
+  const NodeId b1 = Add(1.0);
+  const NodeId c1 = Add(1.0);
+  const NodeId d1 = Add(1.0);
+  tree_.Attach(kRootId, a);
+  tree_.Attach(a, b);
+  tree_.Attach(a, c);
+  tree_.Attach(a, d);
+  tree_.Attach(b, b1);
+  tree_.Attach(c, c1);
+  tree_.Attach(d, d1);
+  EXPECT_EQ(Walk(a), (std::vector<NodeId>{d, d1, c, c1, b, b1}));
+
+  tree_.Detach(c);
+  EXPECT_EQ(Walk(a), (std::vector<NodeId>{d, d1, b, b1}));
+  EXPECT_EQ(Thread(kRootId), (std::vector<NodeId>{kRootId, a, d, d1, b, b1}));
+  EXPECT_EQ(Thread(c), (std::vector<NodeId>{c, c1}));
+  tree_.CheckInvariants();
+
+  tree_.Attach(b1, c);  // the fragment moves to the deepest leaf
+  EXPECT_EQ(Walk(a), (std::vector<NodeId>{d, d1, b, b1, c, c1}));
+  tree_.CheckInvariants();
+}
+
+TEST_F(TreeTest, RemoveFromTreeClosesEachOrphanThread) {
+  // x -> {a}; a -> {b, c, d}; b -> b1; c -> c1 -> c2.
+  const NodeId x = Add(2.0);
+  const NodeId a = Add(3.0);
+  const NodeId b = Add(1.0);
+  const NodeId c = Add(1.0);
+  const NodeId d = Add(1.0);
+  const NodeId b1 = Add(1.0);
+  const NodeId c1 = Add(1.0);
+  const NodeId c2 = Add(1.0);
+  tree_.Attach(kRootId, x);
+  tree_.Attach(x, a);
+  tree_.Attach(a, b);
+  tree_.Attach(a, c);
+  tree_.Attach(a, d);
+  tree_.Attach(b, b1);
+  tree_.Attach(c, c1);
+  tree_.Attach(c1, c2);
+
+  const auto orphans = tree_.RemoveFromTree(a);
+  tree_.MarkDead(a);
+  EXPECT_EQ(orphans, (std::vector<NodeId>{b, c, d}));
+  EXPECT_EQ(Thread(kRootId), (std::vector<NodeId>{kRootId, x}));
+  EXPECT_EQ(Thread(a), (std::vector<NodeId>{a}));
+  EXPECT_EQ(Thread(b), (std::vector<NodeId>{b, b1}));
+  EXPECT_EQ(Thread(c), (std::vector<NodeId>{c, c1, c2}));
+  EXPECT_EQ(Thread(d), (std::vector<NodeId>{d}));
+  tree_.CheckInvariants();
+}
+
+TEST_F(TreeTest, RemoveFromTreeOfDetachedMemberClosesEachOrphanThread) {
+  // a -> {b, c, d}; c -> c1; d -> d1 -> d2, split off before it departs.
+  const NodeId a = Add(3.0);
+  const NodeId b = Add(1.0);
+  const NodeId c = Add(1.0);
+  const NodeId d = Add(1.0);
+  const NodeId c1 = Add(1.0);
+  const NodeId d1 = Add(1.0);
+  const NodeId d2 = Add(1.0);
+  tree_.Attach(kRootId, a);
+  tree_.Attach(a, b);
+  tree_.Attach(a, c);
+  tree_.Attach(a, d);
+  tree_.Attach(c, c1);
+  tree_.Attach(d, d1);
+  tree_.Attach(d1, d2);
+  tree_.Detach(a);
+  EXPECT_EQ(Thread(a), (std::vector<NodeId>{a, d, d1, d2, c, c1, b}));
+  EXPECT_EQ(Thread(kRootId), (std::vector<NodeId>{kRootId}));
+
+  const auto orphans = tree_.RemoveFromTree(a);
+  tree_.MarkDead(a);
+  EXPECT_EQ(orphans, (std::vector<NodeId>{b, c, d}));
+  EXPECT_EQ(Thread(a), (std::vector<NodeId>{a}));
+  EXPECT_EQ(Thread(b), (std::vector<NodeId>{b}));
+  EXPECT_EQ(Thread(c), (std::vector<NodeId>{c, c1}));
+  EXPECT_EQ(Thread(d), (std::vector<NodeId>{d, d1, d2}));
+  tree_.CheckInvariants();
+
+  tree_.Attach(kRootId, d);  // an orphan fragment re-enters whole
+  EXPECT_EQ(Thread(kRootId), (std::vector<NodeId>{kRootId, d, d1, d2}));
+  tree_.CheckInvariants();
 }
 
 TEST_F(TreeTest, SharedPathEdgesMatchesLcaDepth) {

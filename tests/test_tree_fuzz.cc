@@ -91,6 +91,24 @@ class ReferenceModel {
   std::map<NodeId, NodeId> parent_;  // kNoNode == detached
 };
 
+// The order ForEachDescendant must yield `id`'s subtree in: the stack DFS
+// over FirstChild/NextSibling that the preorder thread replaced. Replay
+// digests depend on this order, not just on the set.
+std::vector<NodeId> StackDfsOrder(const Tree& tree, NodeId id) {
+  std::vector<NodeId> order;
+  std::vector<NodeId> stack;
+  for (NodeId c = tree.FirstChild(id); c != kNoNode; c = tree.NextSibling(c))
+    stack.push_back(c);
+  while (!stack.empty()) {
+    const NodeId cur = stack.back();
+    stack.pop_back();
+    order.push_back(cur);
+    for (NodeId c = tree.FirstChild(cur); c != kNoNode; c = tree.NextSibling(c))
+      stack.push_back(c);
+  }
+  return order;
+}
+
 class TreeFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TreeFuzzTest, MatchesReferenceModel) {
@@ -159,11 +177,19 @@ TEST_P(TreeFuzzTest, MatchesReferenceModel) {
       if (ref.IsRooted(node)) {
         EXPECT_EQ(tree.Layer(node), ref.Layer(node)) << "node " << node;
       }
-      const auto expected = ref.Descendants(node);
-      std::set<NodeId> actual;
-      tree.ForEachDescendant(node, [&](NodeId d) { actual.insert(d); });
-      EXPECT_EQ(actual, expected) << "node " << node;
+      std::vector<NodeId> sequence;
+      tree.ForEachDescendant(node, [&](NodeId d) { sequence.push_back(d); });
+      EXPECT_EQ(std::set<NodeId>(sequence.begin(), sequence.end()),
+                ref.Descendants(node))
+          << "node " << node;
+      EXPECT_EQ(sequence, StackDfsOrder(tree, node)) << "node " << node;
     }
+    // The thread from the root lists exactly the rooted tree, in DFS order.
+    std::vector<NodeId> rooted_walk;
+    for (NodeId v = tree.PreorderNext(kRootId); v != kNoNode;
+         v = tree.PreorderNext(v))
+      rooted_walk.push_back(v);
+    EXPECT_EQ(rooted_walk, StackDfsOrder(tree, kRootId));
     // Shared-path edges on a few random rooted pairs.
     std::vector<NodeId> rooted;
     for (const auto& [node, parent] : ref.parents())

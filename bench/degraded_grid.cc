@@ -113,7 +113,7 @@ runner::CellResult RunCell(const GridOptions& opt, const net::Topology& topo,
   out.metrics["reentries_abandoned"] =
       static_cast<double>(r.reentries_abandoned);
   out.metrics["reentries_pending"] = static_cast<double>(r.reentries_pending);
-  out.metrics["wedged_leases"] = static_cast<double>(r.counters.wedged_leases);
+  out.metrics["wedged_leases"] = r.registry.at("chaos.wedged_leases");
   out.metrics["unrooted_members"] = static_cast<double>(r.unrooted_members);
   out.metrics["final_population"] = static_cast<double>(r.final_population);
   out.registry = reg.Flatten();

@@ -34,7 +34,7 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
 
-// --- heap vs calendar at scale ---------------------------------------------
+// --- the event queue at scale ----------------------------------------------
 //
 // The steady-state shape of the churn workload: a large standing set of
 // pending timers (heartbeat periods, suspicion deadlines, departures) while
@@ -51,19 +51,13 @@ double MixedDeadline(rnd::Rng& rng) {
   return rng.ExponentialMean(1809.0);                // member lifetime
 }
 
-sim::QueueKind KindArg(const benchmark::State& state) {
-  return state.range(1) == 0 ? sim::QueueKind::kBinaryHeap
-                             : sim::QueueKind::kCalendar;
-}
-
 void QueueScaleArgs(benchmark::internal::Benchmark* b) {
-  for (long n : {10000L, 100000L, 1000000L, 10000000L})
-    for (long kind : {0L, 1L}) b->Args({n, kind});
+  for (long n : {10000L, 100000L, 1000000L, 10000000L}) b->Arg(n);
 }
 
 void BM_QueueScheduleAtScale(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  sim::Simulator sim(KindArg(state));
+  sim::Simulator sim;
   rnd::Rng rng(42);
   for (int i = 0; i < n; ++i)
     sim.ScheduleAt(MixedDeadline(rng), [] {}, "bench.standing");
@@ -81,7 +75,7 @@ BENCHMARK(BM_QueueScheduleAtScale)->Apply(QueueScaleArgs);
 
 void BM_QueueCancelAtScale(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  sim::Simulator sim(KindArg(state));
+  sim::Simulator sim;
   rnd::Rng rng(42);
   for (int i = 0; i < n; ++i)
     sim.ScheduleAt(MixedDeadline(rng), [] {}, "bench.standing");
@@ -98,7 +92,7 @@ BENCHMARK(BM_QueueCancelAtScale)->Apply(QueueScaleArgs);
 
 void BM_QueueDispatchAtScale(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  sim::Simulator sim(KindArg(state));
+  sim::Simulator sim;
   rnd::Rng rng(42);
   // Self-renewing timers: each dispatch schedules its replacement, so the
   // pending set stays at n however long the benchmark iterates.

@@ -7,29 +7,13 @@
 // run-loop wall time (queue operations included), events per wall second,
 // peak RSS, and calendar event-pool occupancy.
 //
-// Two columns per size:
-//   * "heap+apsp"          -- the seed hot path, as far as it is
-//                             runtime-selectable: QueueKind::kBinaryHeap,
-//                             the exact hierarchical delay oracle with
-//                             per-domain APSP tables and the flat validation
-//                             edge list, and the seed's O(population)
-//                             join-candidate sampling copy + O(members)
-//                             per-join dedup bitmap. Run only up to
-//                             --baseline-max members (default 10^5: at 10^6
-//                             the seed cost model pays an 8 MB population
-//                             copy per join -- terabytes of memcpy over a
-//                             churn run -- so raise the cap deliberately,
-//                             as the committed trajectory does).
-//   * "calendar+landmark"  -- QueueKind::kCalendar plus
-//                             DelayModel::kLandmark: the configuration that
-//                             fits 10^6 members in container memory.
-//
-// Both columns replay the identical workload (same per-cell seed, and the
-// two delay models generate bit-identical topologies), so events/sec ratios
-// compare implementations, not workloads.
+// One column, "calendar+landmark": the production configuration (calendar
+// event queue, DelayModel::kLandmark delay oracle), which fits 10^6
+// members in container memory. The exact-vs-landmark oracle comparison
+// lives in bench/micro_core (BM_DelayOracleAtScale) and test_topology.
 //
 //   ./bench/scale_sweep [--sizes=100000,1000000] [--duration=60]
-//                       [--baseline-max=100000] [--out=results]
+//                       [--out=results]
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -51,7 +35,6 @@
 #include "runner/topology_cache.h"
 #include "sim/simulator.h"
 #include "util/flags.h"
-#include "util/table.h"
 
 namespace {
 
@@ -60,7 +43,6 @@ using namespace omcast;
 struct SweepOptions {
   std::vector<int> sizes;
   double duration_s = 60.0;
-  int baseline_max = 100000;
   std::uint64_t seed = 1;
   std::string out_dir;
   bool resume = false;
@@ -74,39 +56,16 @@ int HostsFor(int size) { return size + size / 20 + 100; }
 runner::CellResult RunCell(const SweepOptions& opt,
                            const runner::CellContext& cell) {
   const int size = opt.sizes[cell.row];
-  const bool optimized = cell.col == 1;
-  runner::CellResult out;
-  if (!optimized && size > opt.baseline_max) {
-    // Above the cap the seed cost model is deliberately not run (its
-    // per-join population copies make the cell take tens of minutes); the
-    // cell records itself as skipped rather than lying with zeros.
-    out.metrics["skipped"] = 1.0;
-    return out;
-  }
-
-  net::TopologyParams tp = net::ScaleTopologyParams(HostsFor(size));
-  if (!optimized) {
-    tp.delay_model = net::DelayModel::kHierarchical;
-    tp.keep_flat_edges = true;
-  }
-  // Topology seed depends on size but NOT on column: the landmark model
-  // consumes the same rng sequence as the exact one, so both columns run
-  // the identical network.
+  const net::TopologyParams tp = net::ScaleTopologyParams(HostsFor(size));
   const net::Topology& topo =
       runner::SharedTopology(tp, opt.seed ^ (0x5ca1eULL + cell.row));
 
-  sim::Simulator sim(optimized ? sim::QueueKind::kCalendar
-                               : sim::QueueKind::kBinaryHeap);
+  sim::Simulator sim;
   obs::SimProfiler prof;
   sim.SetProfiler(&prof);
 
   overlay::SessionParams sp;
   sp.external_failure_detection = true;
-  // The baseline column reproduces the seed hot path wherever it is
-  // runtime-selectable: binary-heap queue, exact APSP oracle, and the
-  // O(population) by-value candidate-sampling copy. Identical variate
-  // sequence either way, so both columns still replay the same workload.
-  sp.seed_baseline_sampling = !optimized;
   overlay::Session session(sim, topo,
                            std::make_unique<proto::MinDepthProtocol>(), sp,
                            cell.seed);
@@ -116,6 +75,7 @@ runner::CellResult RunCell(const SweepOptions& opt,
   session.StartArrivals(size / rnd::kMeanLifetimeSeconds);
   sim.RunUntil(opt.duration_s);
 
+  runner::CellResult out;
   out.metrics["events"] = static_cast<double>(sim.executed_count());
   out.metrics["events_per_sec"] = prof.events_per_sec();
   out.metrics["loop_wall_s"] = prof.loop_us() * 1e-6;
@@ -145,8 +105,6 @@ int main(int argc, char** argv) {
   util::FlagSet flags;
   flags.Define("sizes", "100000,1000000", "steady-state member counts")
       .Define("duration", "60", "simulated churn seconds per cell")
-      .Define("baseline-max", "100000",
-              "largest size the heap+apsp baseline column still runs at")
       .Define("seed", "1", "base RNG seed")
       .Define("out", "", "directory for scale_sweep.json (empty: none)")
       .Define("resume", "false", "reuse matching cells from --out JSON")
@@ -158,7 +116,6 @@ int main(int argc, char** argv) {
   SweepOptions opt;
   opt.sizes = flags.GetIntList("sizes");
   opt.duration_s = flags.GetDouble("duration");
-  opt.baseline_max = flags.GetInt("baseline-max");
   opt.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
   opt.out_dir = flags.GetString("out");
   opt.resume = flags.GetBool("resume");
@@ -170,16 +127,14 @@ int main(int argc, char** argv) {
 
   std::cout << "=== scale_sweep -- simulator hot path at 10^5..10^6 members"
             << " ===\nduration: " << opt.duration_s
-            << "s simulated churn  seed: " << opt.seed
-            << "  baseline column up to " << opt.baseline_max
-            << " members\n\n";
+            << "s simulated churn  seed: " << opt.seed << "\n\n";
 
   runner::GridSpec spec;
   spec.figure = "scale_sweep";
   spec.title = "simulator hot-path throughput and memory vs overlay size";
   spec.row_header = "members";
   for (const int size : opt.sizes) spec.rows.push_back(std::to_string(size));
-  spec.cols = {"heap+apsp", "calendar+landmark"};
+  spec.cols = {"calendar+landmark"};
   spec.reps = 1;
   spec.headline_metric = "events_per_sec";
   spec.run = [&opt](const runner::CellContext& cell) {
@@ -226,20 +181,7 @@ int main(int argc, char** argv) {
       {"population", "population_end", 0},
   };
   bench::PrintMetricColumnsTable(spec, sink, 0, columns,
-                                 "baseline: binary heap + exact APSP oracle");
-  bench::PrintMetricColumnsTable(
-      spec, sink, 1, columns,
-      "optimized: calendar queue + landmark oracle");
-
-  util::Table speedup({"members", "baseline ev/s", "optimized ev/s", "x"});
-  for (std::size_t row = 0; row < spec.rows.size(); ++row) {
-    const double base = sink.Stat(row, 0, "events_per_sec").mean();
-    const double fast = sink.Stat(row, 1, "events_per_sec").mean();
-    speedup.AddRow({spec.rows[row], util::FormatDouble(base, 0),
-                    util::FormatDouble(fast, 0),
-                    base > 0.0 ? util::FormatDouble(fast / base, 2) : "-"});
-  }
-  speedup.Print(std::cout, "hot-path throughput (events per wall second)");
+                                 "calendar queue + landmark oracle");
 
   if (!opt.out_dir.empty()) {
     std::filesystem::create_directories(opt.out_dir);

@@ -18,9 +18,11 @@
 // FILE.chrome.json (load the latter at https://ui.perfetto.dev).
 // Exit code is nonzero if any run wedges a lock or strands an orphan, so
 // the binary doubles as an end-to-end chaos check.
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <string>
 
 #include "exp/chaos.h"
 #include "net/topology.h"
@@ -96,18 +98,28 @@ int main(int argc, char** argv) {
       std::cerr << "wrote " << tracer.size() << " trace events ("
                 << tracer.dropped() << " dropped) to " << trace_out << "\n";
     }
+    // Every run is ROST with heartbeats and a stream, so each of these
+    // "chaos.*" counters is in the registry snapshot.
+    const auto chaos = [&r](const std::string& name, int precision) {
+      return util::FormatDouble(r.registry.at("chaos." + name), precision);
+    };
     table.AddRow({util::FormatDouble(loss, 2),
                   util::FormatDouble(r.avg_starving_ratio, 4),
-                  util::FormatDouble(r.counters.mean_detection_latency_s, 2),
-                  std::to_string(r.counters.false_suspicions),
-                  std::to_string(r.counters.lock_timeouts),
-                  std::to_string(r.counters.stripe_failovers),
-                  std::to_string(r.counters.wedged_leases),
+                  chaos("mean_detection_latency_s", 2),
+                  chaos("false_suspicions", 0), chaos("lock_timeouts", 0),
+                  chaos("stripe_failovers", 0), chaos("wedged_leases", 0),
                   std::to_string(r.unrooted_members)});
     if (!r.zero_wedged_locks || r.unrooted_members > 0) healthy = false;
     if (loss == 0.05) {
-      std::cout << "\nworst case (5% loss) counter detail:\n"
-                << metrics::FormatChaosCounters(r.counters) << "\n";
+      std::cout << "\nworst case (5% loss) counter detail:\n";
+      for (const auto& [name, value] : r.registry)
+        if (name.starts_with("chaos."))
+          std::cout << "  " << name << " "
+                    << util::FormatDouble(value, value == std::floor(value)
+                                                     ? 0
+                                                     : 3)
+                    << "\n";
+      std::cout << "\n";
     }
   }
   table.Print(std::cout, "ROST+CER under control-plane chaos (domain kill + "

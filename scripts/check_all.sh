@@ -67,7 +67,6 @@ fi
 
 echo "==== [lint] omcast-lint (selftests + src/ vs baseline) ===="
 if python3 scripts/omcast-lint --selftest scripts/omcast_lint/fixtures \
-    && python3 scripts/lint_determinism.py --selftest tests/lint_fixtures \
     && python3 scripts/omcast-lint --sarif-selftest \
     && python3 scripts/omcast-lint src/ \
         --baseline scripts/omcast_lint_baseline.json; then

@@ -21,9 +21,8 @@ about, with:
   * per-rule fixtures under `omcast_lint/fixtures/` exercised by
     `--selftest`, run in CI and by ctest.
 
-Entry points: `python3 scripts/omcast-lint` (or `python3 -m omcast_lint`
-from scripts/), and `scripts/lint_determinism.py` as a compatibility shim
-for the original monolithic linter this package grew out of.
+Entry point: `python3 scripts/omcast-lint` (or `python3 -m omcast_lint`
+from scripts/).
 """
 
 from __future__ import annotations

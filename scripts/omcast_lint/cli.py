@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes (shared with the legacy lint_determinism.py shim):
+Exit codes:
   0 -- clean (or all findings baselined / selftest passed)
   1 -- findings not in the baseline, or selftest failures
   2 -- usage error (no inputs, unknown path, bad baseline file)

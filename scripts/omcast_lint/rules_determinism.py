@@ -1,5 +1,6 @@
-"""Reproducibility rules: the original lint_determinism.py detectors, plus
-the protocol-aware unordered-sink and seed-narrowing rules.
+"""Reproducibility rules: rand, wallclock, unordered-iter, pointer-sort,
+uninit-member and trace-wallclock, plus the protocol-aware unordered-sink
+and seed-narrowing rules.
 
 Rationale recap: every figure comes from a deterministic seeded simulation,
 so unseeded randomness, host-clock reads, hash-order iteration, pointer-

@@ -1,7 +1,7 @@
 """Fixture-driven selftest: every rule ships a fixture whose `// expect(rule)`
 markers pin exactly which (line, rule) pairs must fire.
 
-Semantics (inherited from lint_determinism.py and pinned here):
+Semantics:
   * a marker expects a finding on ITS OWN line;
   * the comparison is an exact set match per file -- a missed expectation and
     an unexpected finding are both failures, so rule regressions in either

@@ -1,10 +1,10 @@
 #include "exp/chaos.h"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 #include <vector>
 
+#include "exp/recovery_sampler.h"
 #include "obs/incident.h"
 #include "obs/registry.h"
 #include "obs/timeseries.h"
@@ -65,7 +65,7 @@ void KillBusiestParent(overlay::Session& session) {
 
 ChaosResult RunChaosScenario(const net::Topology& topology,
                              const ChaosConfig& config) {
-  sim::Simulator simulator(config.queue_kind);
+  sim::Simulator simulator;
   std::unique_ptr<overlay::Protocol> protocol =
       MakeProtocol(config.algorithm, config.rost, config.clique);
   auto* rost = config.algorithm == Algorithm::kRost
@@ -127,52 +127,34 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
   const double t0 = simulator.now();
   stream.Start(config.stream_s);
 
-  // Recovery-curve sampler: one tick per window from stream start through
-  // the settle window's end; each tick stamps the window that just ended
-  // (its start time), so the curves line up on the absolute window grid
-  // regardless of t0.
-  std::function<void()> sample_tick;
-  long frames_late_seen = 0;
+  // Recovery curves from stream start through the settle window's end, plus
+  // the stream's own series on the same tick.
+  std::optional<RecoverySampler> sampler;
   if (config.timeseries_window_s > 0.0) {
     const double w = config.timeseries_window_s;
-    const double ts_end = t0 + config.stream_s + config.drain_s +
-                          config.settle_s;
-    obs::TimeSeries& unrooted = reg.Series(
-        "recovery.unrooted_members", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& pending = reg.Series(
-        "recovery.reentries_pending", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& wedged = reg.Series(
-        "recovery.wedged_leases", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& backlog = reg.Series(
+    obs::TimeSeries* backlog = &reg.Series(
         "recovery.repair_backlog", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& degraded = reg.Series(
+    obs::TimeSeries* degraded = &reg.Series(
         "recovery.degraded_fraction", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& late = reg.Series(
+    obs::TimeSeries* late = &reg.Series(
         "recovery.frames_late", obs::TimeSeries::Kind::kCounterRate, w);
-    sample_tick = [&, w, ts_end] {
-      const double now = simulator.now();
-      const double wt = now - w;  // start of the window that just ended
-      long unrooted_n = 0;
-      for (NodeId id : session.alive_members())
-        if (!session.tree().IsRooted(id)) ++unrooted_n;
-      unrooted.Sample(wt, static_cast<double>(unrooted_n));
-      pending.Sample(wt, static_cast<double>(session.reentries_pending()));
-      wedged.Sample(
-          wt, static_cast<double>(session.protocol().WedgedLeases(now)));
-      backlog.Sample(
-          wt, static_cast<double>(stream.ActiveRepairServers().size()));
-      const auto alive = static_cast<double>(session.alive_count());
-      degraded.Sample(
-          wt, alive > 0.0
-                  ? static_cast<double>(stream.degraded_receivers()) / alive
-                  : 0.0);
-      late.AddDelta(
-          wt, static_cast<double>(stream.frames_late() - frames_late_seen));
-      frames_late_seen = stream.frames_late();
-      if (now + w <= ts_end + 1e-9)
-        simulator.ScheduleAfter(w, sample_tick, "chaos.timeseries");
-    };
-    simulator.ScheduleAt(t0 + w, sample_tick, "chaos.timeseries");
+    sampler.emplace(
+        simulator, session, reg, w, t0,
+        t0 + config.stream_s + config.drain_s + config.settle_s,
+        "chaos.timeseries",
+        [&session, &stream, backlog, degraded, late,
+         frames_late_seen = 0L](double wt) mutable {
+          backlog->Sample(
+              wt, static_cast<double>(stream.ActiveRepairServers().size()));
+          const auto alive = static_cast<double>(session.alive_count());
+          degraded->Sample(
+              wt, alive > 0.0
+                      ? static_cast<double>(stream.degraded_receivers()) / alive
+                      : 0.0);
+          late->AddDelta(
+              wt, static_cast<double>(stream.frames_late() - frames_late_seen));
+          frames_late_seen = stream.frames_late();
+        });
   }
 
   if (config.domain_kill_at_s >= 0.0) {
@@ -319,7 +301,6 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
   if (config.tracer != nullptr)
     reg.Count("obs.trace.evicted",
               static_cast<double>(config.tracer->dropped()));
-  r.counters = metrics::CountersFromRegistry(reg);
   r.registry = reg.Flatten();
   if (config.registry != nullptr) config.registry->MergeFrom(reg);
   r.avg_starving_ratio = stream.ratio_stat().mean();

@@ -52,10 +52,6 @@ struct ChaosConfig {
   double settle_s = 30.0;
   std::uint64_t seed = 1;
   Algorithm algorithm = Algorithm::kRost;
-  // Event-queue implementation for the run's simulator. Both kinds dispatch
-  // identically (the determinism tests pin cross-queue digest equality);
-  // exposed so chaos replay digests can be pinned under each.
-  sim::QueueKind queue_kind = sim::QueueKind::kCalendar;
 
   sim::FaultPlaneParams fault;  // loss/dup/jitter for every control message
 
@@ -119,7 +115,7 @@ struct ChaosConfig {
 
   // Recovery-curve sampling: when > 0, the run records deterministic
   // sim-time-windowed series (obs::TimeSeries, this window width) into the
-  // result registry under "chaos.*" -- unrooted members, pending
+  // result registry under "recovery.*" -- unrooted members, pending
   // re-entries, wedged leases, repair backlog, degraded-receiver fraction,
   // and the late-frame rate -- sampled from stream start through the end of
   // the settle window.
@@ -132,9 +128,10 @@ struct ChaosConfig {
 };
 
 struct ChaosResult {
-  metrics::ChaosCounters counters;
-  // The same snapshot as a flattened registry (obs::Registry::Flatten()):
-  // the export path the runner writes into its per-cell JSON.
+  // End-of-run registry snapshot, flattened (obs::Registry::Flatten()): the
+  // "chaos.*" control-plane counters (metrics::CollectChaosRegistry) plus
+  // the "qoe.*", "reconnect.*" and protocol counters. The runner writes it
+  // into its per-cell JSON.
   std::map<std::string, double> registry;
   // Per-disruption lifecycle stats (obs::IncidentLog::FlatStats): counts
   // and per-phase latency percentiles. Empty unless

@@ -1,12 +1,11 @@
 #include "exp/scenario.h"
 
-#include <functional>
 #include <optional>
 
+#include "exp/recovery_sampler.h"
 #include "metrics/collectors.h"
 #include "obs/incident.h"
 #include "obs/registry.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "proto/longest_first.h"
 #include "proto/min_depth.h"
@@ -82,7 +81,7 @@ void ExportSessionCounters(obs::Registry& reg, overlay::Session& session) {
 
 TreeScenarioResult RunTreeScenario(const net::Topology& topology, Algorithm a,
                                    const ScenarioConfig& config) {
-  sim::Simulator simulator(config.queue_kind);
+  sim::Simulator simulator;
   std::unique_ptr<overlay::Protocol> protocol =
       MakeProtocol(a, config.rost, config.clique);
   auto* rost = a == Algorithm::kRost
@@ -111,31 +110,13 @@ TreeScenarioResult RunTreeScenario(const net::Topology& topology, Algorithm a,
   outcomes.SetWindow(t_measure, t_end);
   snapshots.Start(t_measure, t_end);
 
-  // Recovery-curve sampler over the measurement window (same names and
-  // window grid as the chaos harness, minus the stream-only gauges).
-  std::function<void()> sample_tick;
+  // Recovery curves over the measurement window (the chaos harness records
+  // the same gauges on the same window grid, plus its stream series).
+  std::optional<RecoverySampler> sampler;
   if (config.timeseries_window_s > 0.0 && config.registry != nullptr) {
-    const double w = config.timeseries_window_s;
-    obs::TimeSeries& unrooted = config.registry->Series(
-        "recovery.unrooted_members", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& pending = config.registry->Series(
-        "recovery.reentries_pending", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& wedged = config.registry->Series(
-        "recovery.wedged_leases", obs::TimeSeries::Kind::kGauge, w);
-    sample_tick = [&, w, t_end] {
-      const double now = simulator.now();
-      const double wt = now - w;  // start of the window that just ended
-      long unrooted_n = 0;
-      for (overlay::NodeId id : session.alive_members())
-        if (!session.tree().IsRooted(id)) ++unrooted_n;
-      unrooted.Sample(wt, static_cast<double>(unrooted_n));
-      pending.Sample(wt, static_cast<double>(session.reentries_pending()));
-      wedged.Sample(
-          wt, static_cast<double>(session.protocol().WedgedLeases(now)));
-      if (now + w <= t_end + 1e-9)
-        simulator.ScheduleAfter(w, sample_tick, "scenario.timeseries");
-    };
-    simulator.ScheduleAt(t_measure + w, sample_tick, "scenario.timeseries");
+    sampler.emplace(simulator, session, *config.registry,
+                    config.timeseries_window_s, t_measure, t_end,
+                    "scenario.timeseries");
   }
 
   session.Prepopulate(config.population);
@@ -179,7 +160,7 @@ StreamScenarioResult RunStreamScenario(const net::Topology& topology,
                                        Algorithm a,
                                        const ScenarioConfig& config,
                                        const stream::StreamParams& stream) {
-  sim::Simulator simulator(config.queue_kind);
+  sim::Simulator simulator;
   overlay::Session session(simulator, topology,
                            MakeProtocol(a, config.rost, config.clique),
                            config.session, config.seed);
@@ -211,7 +192,7 @@ TraceResult RunMemberTraceScenario(const net::Topology& topology, Algorithm a,
                                    const ScenarioConfig& config,
                                    double member_bandwidth,
                                    double member_lifetime_s, double trace_s) {
-  sim::Simulator simulator(config.queue_kind);
+  sim::Simulator simulator;
   overlay::Session session(simulator, topology,
                            MakeProtocol(a, config.rost, config.clique),
                            config.session, config.seed);

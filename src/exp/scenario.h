@@ -65,10 +65,6 @@ struct ScenarioConfig {
   core::RostParams rost;          // used when algorithm == kRost
   proto::CliqueParams clique;     // used when algorithm == kClique
   overlay::SessionParams session;
-  // Pending-event set implementation. Both kinds dispatch in identical
-  // (time, seq) order, so results and replay digests are unaffected; the
-  // binary heap exists as the A/B baseline for bench/scale_sweep.
-  sim::QueueKind queue_kind = sim::QueueKind::kCalendar;
 
   // --- observability (obs/) -- all non-owning, null = off, and each must
   // outlive the run. The tracer receives the protocol event stream, the

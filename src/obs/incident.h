@@ -29,8 +29,8 @@
 // Determinism: an IncidentLog consumes only replay-deterministic trace
 // content and keeps exact latency lists (sorted copies for percentiles),
 // so FlatStats() is byte-identical across equal-seed runs under any thread
-// count, queue kind, or delay model. Cell-confined and unsynchronized,
-// like every obs collector.
+// count or delay model. Cell-confined and unsynchronized, like every obs
+// collector.
 #pragma once
 
 #include <cstdint>

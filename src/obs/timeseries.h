@@ -18,8 +18,8 @@
 // Determinism contract: storage is a dense vector indexed from the first
 // touched window -- no hashing, no wall-clock, no allocation-order
 // dependence -- so equal-seed runs produce byte-identical Points() under
-// any thread count, event-queue kind, or delay model (the replay digest
-// tests pin this through the runner's per-cell `timeseries` block).
+// any thread count or delay model (the replay digest tests pin this
+// through the runner's per-cell `timeseries` block).
 //
 // Thread-compatibility: cell-confined and unsynchronized, exactly like
 // obs::Registry (one instance per runner grid cell, merged across cells

@@ -116,7 +116,6 @@ void GossipService::Tick(NodeId member) {
   view.timer = sim::kInvalidEventId;
   if (!view.active || !session_.tree().Alive(member)) return;
   const double now = session_.simulator().now();
-  ++view.ticks;
   Prune(view, now);
   if (obs::Tracer* tracer = session_.tracer(); tracer != nullptr) {
     tracer->Emit(now, obs::EventKind::kGossipRound, member, kNoNode,
@@ -201,30 +200,6 @@ std::vector<NodeId> GossipService::KnownMembers(Session& session,
 std::size_t GossipService::ViewSize(NodeId member) const {
   const auto it = views_.find(member);
   return it == views_.end() ? 0 : it->second.entries.size();
-}
-
-double GossipService::LiveFraction(NodeId member) const {
-  const auto it = views_.find(member);
-  if (it == views_.end()) return 0.0;
-  const View& view = it->second;
-  if (view.entries.empty()) return 0.0;
-  int alive = 0;
-  for (const Entry& e : view.entries)
-    if (session_.tree().Alive(e.id)) ++alive;
-  return static_cast<double>(alive) / static_cast<double>(view.entries.size());
-}
-
-long GossipService::TickCount(NodeId member) const {
-  const auto it = views_.find(member);
-  return it == views_.end() ? 0 : it->second.ticks;
-}
-
-std::vector<double> GossipService::EntryAges(NodeId member, double now) const {
-  std::vector<double> ages;
-  const auto it = views_.find(member);
-  if (it == views_.end()) return ages;
-  for (const Entry& e : it->second.entries) ages.push_back(now - e.heard_at);
-  return ages;
 }
 
 }  // namespace omcast::overlay

@@ -56,18 +56,12 @@ class GossipService final : public MembershipOracle {
 
   // --- introspection (tests / ablation) -----------------------------------
   std::size_t ViewSize(NodeId member) const;
-  // Fraction of the member's view entries that are currently alive.
-  double LiveFraction(NodeId member) const;
   long exchanges_performed() const { return exchanges_; }
   long dead_contacts() const { return dead_contacts_; }
   // Incoming records already past the TTL when they arrived (only possible
   // when a FaultPlane delays slices in flight); rejecting them keeps stale
   // views from circulating as an epidemic.
   long stale_rejections() const { return stale_rejections_; }
-  // Ages (now - heard_at) of the member's view entries, for tests.
-  std::vector<double> EntryAges(NodeId member, double now) const;
-  // Number of gossip ticks the member has executed (tests/debug).
-  long TickCount(NodeId member) const;
 
  private:
   struct Entry {
@@ -77,7 +71,6 @@ class GossipService final : public MembershipOracle {
   struct View {
     std::vector<Entry> entries;
     bool active = false;
-    long ticks = 0;
     sim::EventId timer = sim::kInvalidEventId;
   };
 

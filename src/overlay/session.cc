@@ -495,8 +495,6 @@ std::vector<NodeId> Session::SampleCandidates(int k, NodeId exclude) {
   std::vector<NodeId> sample =
       oracle_ != nullptr
           ? oracle_->KnownMembers(*this, exclude, static_cast<int>(k) * 6 + 16)
-      : params_.seed_baseline_sampling
-          ? rng_.SampleWithoutReplacement(alive_, want)
           : rng_.SampleWithoutReplacementFrom(alive_, want);
   std::vector<NodeId> out;
   out.reserve(static_cast<std::size_t>(k) + 1);
@@ -516,15 +514,8 @@ std::vector<NodeId> Session::CollectJoinPool(int k, NodeId exclude) {
   std::vector<NodeId> pool = SampleCandidates(k, exclude);
   // Epoch-stamped dedup: allocating and zeroing a fresh O(members) bitmap
   // here made every join O(N) at 10^6 members; bumping the epoch retires
-  // all stale stamps in O(1). The seed-baseline mode keeps the O(members)
-  // bitmap so the scale_sweep baseline column pays the seed's real cost;
-  // both paths dedup identically, so results cannot differ.
-  if (params_.seed_baseline_sampling) {
-    seen_epoch_ = 0;
-    seen_stamp_.assign(tree_.size(), 0);
-  } else {
-    seen_stamp_.resize(tree_.size(), 0);
-  }
+  // all stale stamps in O(1).
+  seen_stamp_.resize(tree_.size(), 0);
   const int epoch = ++seen_epoch_;
   for (NodeId id : pool) seen_stamp_[static_cast<std::size_t>(id)] = epoch;
   // Breadth-first prefix from the root (cannot reach detached fragments,

@@ -145,15 +145,6 @@ struct SessionParams {
   // reentry_backoff_cap times the base delay.
   int reentry_max_attempts = 6;
   int reentry_backoff_cap = 16;
-  // Route join-candidate collection through the seed's cost model: the
-  // by-value sampling overload that copies the whole alive-member vector
-  // per join (O(population)), and a freshly zeroed O(members) dedup bitmap
-  // per join pool. Both paths produce bit-identical results -- the sampling
-  // overloads draw the same variate sequence and the dedup semantics are
-  // unchanged -- only the hot-path cost differs. The bench/scale_sweep
-  // baseline column sets this so the committed trajectory measures the seed
-  // cost model, not just the queue/oracle swap.
-  bool seed_baseline_sampling = false;
   rnd::BoundedPareto bandwidth_dist = rnd::PaperBandwidthDist();
   rnd::LognormalDist lifetime_dist = rnd::PaperLifetimeDist();
 };

@@ -3,7 +3,6 @@
 namespace omcast::proto {
 
 using overlay::kNoNode;
-using overlay::kRootId;
 using overlay::NodeId;
 using overlay::Session;
 using overlay::Tree;
@@ -48,20 +47,6 @@ NodeId PickOldestParent(Session& session, const std::vector<NodeId>& candidates,
     }
   }
   return best;
-}
-
-std::vector<std::vector<NodeId>> LayersByBfs(const Tree& tree) {
-  std::vector<std::vector<NodeId>> layers;
-  layers.push_back({kRootId});
-  std::size_t level = 0;
-  while (level < layers.size()) {
-    std::vector<NodeId> next;
-    for (NodeId id : layers[level])
-      for (NodeId c : tree.ChildrenOf(id)) next.push_back(c);
-    if (!next.empty()) layers.push_back(std::move(next));
-    ++level;
-  }
-  return layers;
 }
 
 }  // namespace omcast::proto

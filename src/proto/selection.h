@@ -21,10 +21,4 @@ overlay::NodeId PickOldestParent(overlay::Session& session,
                                  const std::vector<overlay::NodeId>& candidates,
                                  overlay::NodeId joining);
 
-// Rooted members of the current tree grouped by layer (layers[0] == {root}),
-// in BFS order. No protocol calls it: the relaxed bandwidth/time-ordered
-// algorithms scan the tree's preorder thread instead (Tree::PreorderNext),
-// whose order their RNG draws depend on.
-std::vector<std::vector<overlay::NodeId>> LayersByBfs(const overlay::Tree& tree);
-
 }  // namespace omcast::proto

@@ -48,10 +48,6 @@ class Rng {
     return std::lognormal_distribution<double>(mu, sigma)(engine_);
   }
 
-  // Derives an independent child generator (used to give each experiment
-  // repetition its own stream).
-  Rng Fork() { return Rng(engine_()); }
-
   template <typename T>
   void Shuffle(std::vector<T>& v) {
     std::shuffle(v.begin(), v.end(), engine_);

@@ -90,10 +90,4 @@ const net::Topology& SharedTopology(const net::TopologyParams& params,
   return cache.entries.back().topology;
 }
 
-int SharedTopologyCount() {
-  Cache& cache = GetCache();
-  util::MutexLock lock(cache.mu);
-  return static_cast<int>(cache.entries.size());
-}
-
 }  // namespace omcast::runner

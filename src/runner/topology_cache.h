@@ -22,7 +22,4 @@ namespace omcast::runner {
 const net::Topology& SharedTopology(const net::TopologyParams& params,
                                     std::uint64_t seed);
 
-// Number of distinct (params, seed) instances built so far (for tests).
-int SharedTopologyCount();
-
 }  // namespace omcast::runner

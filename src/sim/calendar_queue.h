@@ -1,5 +1,5 @@
 // Calendar queue (Brown 1988) with a pooled event slab: the O(1)-amortized
-// pending-event set behind sim::Simulator's default queue mode.
+// pending-event set behind sim::Simulator.
 //
 // Design, in one breath: events live in a slab (std::vector<Event>) recycled
 // through a LIFO free list, so steady-state scheduling performs no heap
@@ -25,9 +25,10 @@
 // Determinism: width estimation and resizing depend only on the pending set
 // (sampled time gaps and operation counters), never on wall clock or RNG, so
 // two runs that schedule identical (time, seq) streams make identical
-// resizing decisions. Event ids are assigned by the Simulator and are
-// sequential in every queue mode; replay digests hash (time, id) pairs and
-// therefore cannot tell the calendar from the binary heap.
+// resizing decisions. Event ids are assigned by the Simulator in seq order.
+// tests/test_calendar_queue.cc drives this queue and a binary-heap
+// reference through identical operation streams and requires identical
+// pops.
 #pragma once
 
 #include <cstddef>

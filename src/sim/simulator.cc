@@ -12,12 +12,7 @@ EventId Simulator::ScheduleAt(Time t, Callback cb, const char* tag) {
   util::Check(static_cast<bool>(cb), "event callback must be callable");
   OMCAST_DCHECK(t == t, "event time must not be NaN");
   const std::uint64_t id = next_id_++;
-  if (kind_ == QueueKind::kCalendar) {
-    calendar_.Insert(t, next_seq_++, id, tag, std::move(cb));
-  } else {
-    queue_.push(Event{t, next_seq_++, id, tag, std::move(cb)});
-    pending_.insert(id);
-  }
+  calendar_.Insert(t, next_seq_++, id, tag, std::move(cb));
   return EventId{id};
 }
 
@@ -31,19 +26,13 @@ bool Simulator::Cancel(EventId id) {
   // the caller (a stale copy from another simulator, or uninitialized state);
   // kInvalidEventId is the documented "nothing scheduled" value and is fine.
   OMCAST_DCHECK(id.value < next_id_, "Cancel: event id was never issued");
-  if (kind_ == QueueKind::kCalendar) {
-    if (id.value == 0) return false;
-    return calendar_.Erase(id.value);
-  }
-  return pending_.erase(id.value) > 0;
+  if (id.value == 0) return false;
+  return calendar_.Erase(id.value);
 }
 
 bool Simulator::IsPending(EventId id) const {
   OMCAST_DCHECK(id.value < next_id_, "IsPending: event id was never issued");
-  if (kind_ == QueueKind::kCalendar) {
-    return id.value != 0 && calendar_.Contains(id.value);
-  }
-  return pending_.contains(id.value);
+  return id.value != 0 && calendar_.Contains(id.value);
 }
 
 void Simulator::Dispatch(Time time, std::uint64_t seq, std::uint64_t id,
@@ -76,27 +65,15 @@ void Simulator::Dispatch(Time time, std::uint64_t seq, std::uint64_t id,
 }
 
 bool Simulator::RunOne() {
-  if (kind_ == QueueKind::kCalendar) {
-    if (calendar_.empty()) return false;
-    Time time = 0.0;
-    std::uint64_t seq = 0;
-    std::uint64_t id = 0;
-    const char* tag = nullptr;
-    Callback cb;
-    calendar_.PopMin(&time, &seq, &id, &tag, &cb);
-    Dispatch(time, seq, id, tag, std::move(cb));
-    return true;
-  }
-  while (!queue_.empty()) {
-    // priority_queue::top() is const; the callback is moved out via
-    // const_cast, which is safe because the element is popped immediately.
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    if (pending_.erase(ev.id) == 0) continue;  // cancelled
-    Dispatch(ev.time, ev.seq, ev.id, ev.tag, std::move(ev.cb));
-    return true;
-  }
-  return false;
+  if (calendar_.empty()) return false;
+  Time time = 0.0;
+  std::uint64_t seq = 0;
+  std::uint64_t id = 0;
+  const char* tag = nullptr;
+  Callback cb;
+  calendar_.PopMin(&time, &seq, &id, &tag, &cb);
+  Dispatch(time, seq, id, tag, std::move(cb));
+  return true;
 }
 
 void Simulator::Run() {
@@ -115,19 +92,9 @@ void Simulator::RunUntil(Time t) {
   util::Check(t >= now_, "cannot run backwards in time");
   stopped_ = false;
   if (profiler_ != nullptr) profiler_->BeginLoop();
-  if (kind_ == QueueKind::kCalendar) {
-    while (!stopped_) {
-      if (calendar_.empty() || calendar_.PeekTime() > t) break;
-      RunOne();
-    }
-  } else {
-    while (!stopped_) {
-      // Drop cancelled heads so the next-time peek is accurate.
-      while (!queue_.empty() && !pending_.contains(queue_.top().id))
-        queue_.pop();
-      if (queue_.empty() || queue_.top().time > t) break;
-      RunOne();
-    }
+  while (!stopped_) {
+    if (calendar_.empty() || calendar_.PeekTime() > t) break;
+    RunOne();
   }
   if (profiler_ != nullptr) {
     const CalendarQueue::PoolStats ps = pool_stats();

@@ -1,23 +1,15 @@
 // Single-threaded discrete-event simulation engine.
 //
-// The engine owns a virtual clock (seconds, double) and a pending-event set.
-// Events scheduled for the same instant fire in scheduling order, which
-// together with seeded RNGs makes every run bit-reproducible.
+// The engine owns a virtual clock (seconds, double) and a pending-event set:
+// a calendar queue over a pooled event slab (sim/calendar_queue.h) with
+// O(1) amortized schedule/cancel/dispatch and no per-event heap allocation
+// at steady state. Events scheduled for the same instant fire in scheduling
+// order, which together with seeded RNGs makes every run bit-reproducible.
+// tests/test_calendar_queue.cc checks the queue's (time, seq) order against
+// a binary-heap reference.
 //
-// Two queue implementations sit behind one dispatch contract:
-//
-//  - QueueKind::kCalendar (default): calendar queue over a pooled event slab
-//    (sim/calendar_queue.h) -- O(1) amortized schedule/cancel/dispatch, no
-//    per-event heap allocation at steady state. This is the mode that scales
-//    to 10^6 members.
-//  - QueueKind::kBinaryHeap: the original std::priority_queue binary heap
-//    with an unordered_set cancellation ledger, kept verbatim as the
-//    baseline the determinism tests and bench/scale_sweep A/B against.
-//
-// Both modes assign the same sequential EventIds and hand events over in the
-// same (time, seq) order, so replay digests -- which hash (time, id) pairs --
-// are bit-identical across modes; tests/test_determinism_replay.cc enforces
-// this on real scenario cells.
+// Event ids are sequential in scheduling order, so dispatches strictly
+// increase in (time, id); replay digests hash those pairs.
 //
 // Cancellation is by EventId: timers such as ROST's per-node switching checks
 // or CER repair timeouts are cancelled when the owning node departs.
@@ -26,9 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
-#include <unordered_set>
-#include <vector>
 
 #include "sim/calendar_queue.h"
 
@@ -47,12 +36,6 @@ struct EventId {
 // Returned by EventId-producing calls that may be "nothing scheduled".
 inline constexpr EventId kInvalidEventId{0};
 
-// Pending-event set implementation; see the header comment.
-enum class QueueKind {
-  kCalendar,
-  kBinaryHeap,
-};
-
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -61,11 +44,9 @@ class Simulator {
   // rolling hash of the event trace; must not mutate the simulation.
   using TraceObserver = std::function<void(Time t, std::uint64_t event_id)>;
 
-  explicit Simulator(QueueKind kind = QueueKind::kCalendar) : kind_(kind) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  QueueKind queue_kind() const { return kind_; }
 
   // Current virtual time. Starts at 0.
   Time now() const { return now_; }
@@ -100,15 +81,12 @@ class Simulator {
   std::uint64_t executed_count() const { return executed_; }
 
   // Number of events currently pending.
-  std::size_t pending_count() const {
-    return kind_ == QueueKind::kCalendar ? calendar_.size() : pending_.size();
-  }
+  std::size_t pending_count() const { return calendar_.size(); }
 
-  // Event-pool occupancy of the calendar queue (zeros in heap mode, which
-  // has no pool). Surfaced through obs::SimProfiler and --profile tables.
+  // Event-pool occupancy of the calendar queue. Surfaced through
+  // obs::SimProfiler and --profile tables.
   CalendarQueue::PoolStats pool_stats() const {
-    return kind_ == QueueKind::kCalendar ? calendar_.pool_stats()
-                                         : CalendarQueue::PoolStats{};
+    return calendar_.pool_stats();
   }
 
   // Installs (or clears, with nullptr) the per-event trace observer.
@@ -124,28 +102,13 @@ class Simulator {
   void SetProfiler(obs::SimProfiler* profiler) { profiler_ = profiler; }
 
  private:
-  struct Event {
-    Time time = 0.0;
-    std::uint64_t seq = 0;  // FIFO tie-break at equal times
-    std::uint64_t id = 0;
-    const char* tag = nullptr;  // profiling label; not owned
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  // Pops and runs the next non-cancelled event; returns false if none left.
+  // Pops and runs the next event; returns false if none left.
   bool RunOne();
   // Executes one popped event: clock advance, ordering DCHECKs, trace hook,
-  // profiler bracketing. Shared by both queue modes.
+  // profiler bracketing.
   void Dispatch(Time time, std::uint64_t seq, std::uint64_t id,
                 const char* tag, Callback cb);
 
-  const QueueKind kind_;
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_id_ = 1;  // 0 is kInvalidEventId
@@ -154,14 +117,7 @@ class Simulator {
   // instant; used by the DCHECK tier to assert FIFO order at equal times.
   std::uint64_t last_seq_at_now_ = std::numeric_limits<std::uint64_t>::max();
   bool stopped_ = false;
-  // kCalendar state.
   CalendarQueue calendar_;
-  // kBinaryHeap state (the seed implementation, unchanged).
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  // Never iterated: membership-only cancellation ledger, so the hash order
-  // cannot leak into protocol decisions.
-  // omcast-lint: allow(unordered-iter)
-  std::unordered_set<std::uint64_t> pending_;
   TraceObserver trace_;
   obs::SimProfiler* profiler_ = nullptr;  // not owned
 };

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/rost/rost.h"
 #include "net/topology.h"
@@ -295,26 +296,7 @@ ChaosConfig TinyChaosConfig(std::uint64_t seed) {
 }
 
 bool SameResult(const ChaosResult& a, const ChaosResult& b) {
-  const metrics::ChaosCounters& x = a.counters;
-  const metrics::ChaosCounters& y = b.counters;
-  return x.messages_sent == y.messages_sent &&
-         x.messages_dropped == y.messages_dropped &&
-         x.messages_duplicated == y.messages_duplicated &&
-         x.messages_delivered == y.messages_delivered &&
-         x.heartbeats_sent == y.heartbeats_sent &&
-         x.detections == y.detections &&
-         x.false_suspicions == y.false_suspicions &&
-         x.mean_detection_latency_s == y.mean_detection_latency_s &&
-         x.leases_granted == y.leases_granted &&
-         x.leases_released == y.leases_released &&
-         x.leases_expired == y.leases_expired &&
-         x.lock_timeouts == y.lock_timeouts &&
-         x.lock_retries == y.lock_retries &&
-         x.handshake_aborts == y.handshake_aborts &&
-         x.repairs_scheduled == y.repairs_scheduled &&
-         x.eln_sent == y.eln_sent &&
-         x.stripe_failovers == y.stripe_failovers &&
-         x.short_group_fallbacks == y.short_group_fallbacks &&
+  return a.registry == b.registry &&
          a.avg_starving_ratio == b.avg_starving_ratio &&
          a.members == b.members &&
          a.flash_members_killed == b.flash_members_killed &&
@@ -324,23 +306,29 @@ bool SameResult(const ChaosResult& a, const ChaosResult& b) {
          a.final_population == b.final_population;
 }
 
+// Reads a "chaos.*" counter from the result's registry snapshot; throws (and
+// so fails the test) if the run did not export it.
+double Chaos(const ChaosResult& r, const std::string& name) {
+  return r.registry.at("chaos." + name);
+}
+
 TEST(ChaosScenario, TinyRunSurvivesFlashAndMidRepairKills) {
   rnd::Rng topo_rng(1);
   const net::Topology topology =
       net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
   const ChaosResult r = RunChaosScenario(topology, TinyChaosConfig(21));
   EXPECT_TRUE(r.zero_wedged_locks);
-  EXPECT_EQ(r.counters.wedged_leases, 0);
+  EXPECT_EQ(Chaos(r, "wedged_leases"), 0.0);
   EXPECT_EQ(r.flash_members_killed, 5);
-  EXPECT_GT(r.counters.heartbeats_sent, 0);
-  EXPECT_GT(r.counters.messages_dropped, 0);
-  EXPECT_GT(r.counters.repairs_scheduled, 0);
+  EXPECT_GT(Chaos(r, "heartbeats_sent"), 0.0);
+  EXPECT_GT(Chaos(r, "messages_dropped"), 0.0);
+  EXPECT_GT(Chaos(r, "repairs_scheduled"), 0.0);
   EXPECT_GT(r.final_population, 0);
   // Lease accounting identity: every grant is released, expired or still
   // legitimately held.
-  EXPECT_EQ(r.counters.leases_granted,
-            r.counters.leases_released + r.counters.leases_expired +
-                r.counters.leases_outstanding);
+  EXPECT_EQ(Chaos(r, "leases_granted"),
+            Chaos(r, "leases_released") + Chaos(r, "leases_expired") +
+                Chaos(r, "leases_outstanding"));
 }
 
 TEST(ChaosScenario, SameSeedReplaysBitIdentically) {
@@ -379,15 +367,15 @@ TEST(ChaosScenario, FiveHundredMembersSurviveLossAndDomainKill) {
   c.domain_kill_index = 1;
   const ChaosResult r = RunChaosScenario(topology, c);
   EXPECT_TRUE(r.zero_wedged_locks);
-  EXPECT_EQ(r.counters.wedged_leases, 0);
+  EXPECT_EQ(Chaos(r, "wedged_leases"), 0.0);
   EXPECT_EQ(r.unrooted_members, 0) << "orphans failed to reattach";
   EXPECT_GT(r.domain_members_killed, 0);
-  EXPECT_GT(r.counters.messages_dropped, 0);
-  EXPECT_GT(r.counters.detections, 0);
-  EXPECT_GT(r.counters.leases_granted, 0);
-  EXPECT_EQ(r.counters.leases_granted,
-            r.counters.leases_released + r.counters.leases_expired +
-                r.counters.leases_outstanding);
+  EXPECT_GT(Chaos(r, "messages_dropped"), 0.0);
+  EXPECT_GT(Chaos(r, "detections"), 0.0);
+  EXPECT_GT(Chaos(r, "leases_granted"), 0.0);
+  EXPECT_EQ(Chaos(r, "leases_granted"),
+            Chaos(r, "leases_released") + Chaos(r, "leases_expired") +
+                Chaos(r, "leases_outstanding"));
   EXPECT_GT(r.final_population, 0);
 }
 
@@ -419,7 +407,7 @@ TEST(ChaosScenario, FlashCrowdSurvivesMidTakeoverServerDeath) {
   c.flash_at_s = 10.0;
   c.flash_departures = 30;
   const ChaosResult r = RunChaosScenario(topology, c);
-  EXPECT_GT(r.counters.stripe_failovers, 0)
+  EXPECT_GT(Chaos(r, "stripe_failovers"), 0.0)
       << "the mid-takeover failover no longer fires; the regression is "
          "vacuous";
   EXPECT_TRUE(r.zero_wedged_locks);

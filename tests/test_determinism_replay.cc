@@ -35,13 +35,30 @@ namespace {
 
 using overlay::NodeId;
 
+// Installs the digest's trace observer: folds every dispatched (time, id)
+// pair into `hash` and requires the pairs to strictly increase. Ids are
+// issued in scheduling (seq) order, so this is the queue's (time, seq)
+// dispatch contract seen from outside the simulator.
+void HashDispatches(sim::Simulator& sim, util::RollingHash& hash) {
+  sim.SetTraceObserver([&hash, last_t = -1.0, last_id = std::uint64_t{0},
+                        reported = false](sim::Time t,
+                                          std::uint64_t id) mutable {
+    if (!reported && !(t > last_t || (t == last_t && id > last_id))) {
+      ADD_FAILURE() << "dispatch (" << t << ", " << id
+                    << ") does not follow (" << last_t << ", " << last_id
+                    << ")";
+      reported = true;  // one report per run, not one per later event
+    }
+    last_t = t;
+    last_id = id;
+    hash.MixDouble(t);
+    hash.MixU64(id);
+  });
+}
+
 // One full scenario run; everything observable is folded into the digest.
-// `queue` selects the pending-event implementation: the calendar queue and
-// the seed's binary heap must be indistinguishable at digest granularity.
-std::uint64_t RunScenarioDigest(std::uint64_t seed,
-                                sim::QueueKind queue =
-                                    sim::QueueKind::kCalendar) {
-  sim::Simulator sim(queue);
+std::uint64_t RunScenarioDigest(std::uint64_t seed) {
+  sim::Simulator sim;
   rnd::Rng topo_rng(1);  // fixed topology across seeds; churn varies
   const net::Topology topology =
       net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
@@ -56,10 +73,7 @@ std::uint64_t RunScenarioDigest(std::uint64_t seed,
   session.SetMembershipOracle(&gossip);
 
   util::RollingHash hash;
-  sim.SetTraceObserver([&hash](sim::Time t, std::uint64_t id) {
-    hash.MixDouble(t);
-    hash.MixU64(id);
-  });
+  HashDispatches(sim, hash);
 
   session.Prepopulate(80);  // tiny topology holds 96 stub hosts
   session.StartArrivals(80.0 / 1809.0);
@@ -97,9 +111,8 @@ std::uint64_t RunScenarioDigest(std::uint64_t seed,
 // the oracle, and a correlated stub-domain kill mid-stream. The entire
 // fault schedule -- which messages drop, duplicate, jitter -- must replay
 // bit-identically under the same seed.
-std::uint64_t RunChaosDigest(std::uint64_t seed,
-                             sim::QueueKind queue = sim::QueueKind::kCalendar) {
-  sim::Simulator sim(queue);
+std::uint64_t RunChaosDigest(std::uint64_t seed) {
+  sim::Simulator sim;
   rnd::Rng topo_rng(1);
   const net::Topology topology =
       net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
@@ -129,10 +142,7 @@ std::uint64_t RunChaosDigest(std::uint64_t seed,
                                       seed + 11, &plane);
 
   util::RollingHash hash;
-  sim.SetTraceObserver([&hash](sim::Time t, std::uint64_t id) {
-    hash.MixDouble(t);
-    hash.MixU64(id);
-  });
+  HashDispatches(sim, hash);
 
   session.Prepopulate(60);
   session.StartArrivals(60.0 / 1809.0);
@@ -206,34 +216,27 @@ TEST(SeedReplayDeterminism, ChaosDigestSeesTheSeed) {
 }
 
 // ---------------------------------------------------------------------------
-// Queue-implementation equivalence: the calendar queue + SoA tree must be
-// *observationally identical* to the seed's binary heap -- same (time, seq)
-// dispatch order, same sequential EventIds, same downstream RNG draws --
-// so swapping the queue can never change a paper figure. The digest covers
-// the entire event trace plus end state, so any divergence in any event
-// fails loudly.
+// Dispatch order on real scenario cells: the digest helpers' observers
+// require every dispatch to strictly follow the previous one in (time, id).
+// tests/test_calendar_queue.cc checks the queue itself against a binary-heap
+// reference; these seeds check it under real workloads.
 // ---------------------------------------------------------------------------
 
-TEST(QueueEquivalence, ScenarioDigestsMatchAcrossQueueKinds) {
+TEST(DispatchOrder, ScenarioSeedsDispatchInOrderAndReplay) {
   for (const std::uint64_t seed : {42ull, 7ull, 1234ull}) {
-    EXPECT_EQ(RunScenarioDigest(seed, sim::QueueKind::kCalendar),
-              RunScenarioDigest(seed, sim::QueueKind::kBinaryHeap))
-        << "seed " << seed
-        << ": calendar queue dispatched a different event history than the "
-           "seed binary heap";
+    SCOPED_TRACE(seed);
+    EXPECT_EQ(RunScenarioDigest(seed), RunScenarioDigest(seed));
   }
 }
 
-TEST(QueueEquivalence, ChaosDigestsMatchAcrossQueueKinds) {
+TEST(DispatchOrder, ChaosSeedsDispatchInOrderAndReplay) {
   // The chaos run leans hard on cancellation (heartbeat re-arms cancel and
   // reschedule suspicion timers constantly) and on equal-time pileups from
   // the fault plane's jittered redeliveries -- the two places a queue
-  // implementation could break ordering.
+  // could break ordering.
   for (const std::uint64_t seed : {17ull, 99ull}) {
-    EXPECT_EQ(RunChaosDigest(seed, sim::QueueKind::kCalendar),
-              RunChaosDigest(seed, sim::QueueKind::kBinaryHeap))
-        << "seed " << seed
-        << ": fault-plane/heartbeat history diverged between queue kinds";
+    SCOPED_TRACE(seed);
+    EXPECT_EQ(RunChaosDigest(seed), RunChaosDigest(seed));
   }
 }
 
@@ -243,11 +246,10 @@ TEST(QueueEquivalence, ChaosDigestsMatchAcrossQueueKinds) {
 // million-member trajectory runs. Each of the harness's injection shapes --
 // correlated domain kill, flash crowd, mid-repair double kill -- must
 // replay bit-identically (same registry snapshot, same QoE accounting, same
-// protocol trace) and must not depend on the queue implementation.
+// protocol trace).
 // ---------------------------------------------------------------------------
 
-std::uint64_t RunChaosHarnessDigest(int scenario, std::uint64_t seed,
-                                    sim::QueueKind queue) {
+std::uint64_t RunChaosHarnessDigest(int scenario, std::uint64_t seed) {
   rnd::Rng topo_rng(1);
   net::TopologyParams tp = net::TinyTopologyParams();
   tp.delay_model = net::DelayModel::kLandmark;
@@ -259,7 +261,6 @@ std::uint64_t RunChaosHarnessDigest(int scenario, std::uint64_t seed,
   c.stream_s = 60.0;
   c.drain_s = 60.0;
   c.seed = seed;
-  c.queue_kind = queue;
   c.fault.loss_rate = 0.02;
   c.fault.dup_prob = 0.01;
   c.fault.jitter_s = 0.02;
@@ -305,40 +306,27 @@ std::uint64_t RunChaosHarnessDigest(int scenario, std::uint64_t seed,
 
 TEST(ChaosHarnessReplay, ScenariosReplayBitIdenticallyUnderCalendarLandmark) {
   for (int scenario : {0, 1, 2}) {
-    EXPECT_EQ(
-        RunChaosHarnessDigest(scenario, 21, sim::QueueKind::kCalendar),
-        RunChaosHarnessDigest(scenario, 21, sim::QueueKind::kCalendar))
+    EXPECT_EQ(RunChaosHarnessDigest(scenario, 21),
+              RunChaosHarnessDigest(scenario, 21))
         << "chaos scenario " << scenario
         << " diverged between identically-seeded runs";
   }
 }
 
 TEST(ChaosHarnessReplay, ScenarioDigestsSeeTheSeed) {
-  EXPECT_NE(RunChaosHarnessDigest(0, 21, sim::QueueKind::kCalendar),
-            RunChaosHarnessDigest(0, 22, sim::QueueKind::kCalendar));
-}
-
-TEST(ChaosHarnessReplay, ScenarioDigestsMatchAcrossQueueKinds) {
-  for (int scenario : {0, 1, 2}) {
-    EXPECT_EQ(
-        RunChaosHarnessDigest(scenario, 21, sim::QueueKind::kCalendar),
-        RunChaosHarnessDigest(scenario, 21, sim::QueueKind::kBinaryHeap))
-        << "chaos scenario " << scenario
-        << " dispatched differently under the two queue kinds";
-  }
+  EXPECT_NE(RunChaosHarnessDigest(0, 21), RunChaosHarnessDigest(0, 22));
 }
 
 // ---------------------------------------------------------------------------
 // Clique-protocol replay: the clustered overlay's event history -- cluster
 // formation order, election timers, succession timeouts, advisory traffic
-// over the fault plane -- must replay bit-identically under the same seed,
-// under both delay models, and under both queue kinds. The flash-crowd
-// shape exercises every recovery path (local reattach, succession,
-// dissolution, overflow/preempt admission) in one run.
+// over the fault plane -- must replay bit-identically under the same seed
+// and under both delay models. The flash-crowd shape exercises every
+// recovery path (local reattach, succession, dissolution, overflow/preempt
+// admission) in one run.
 // ---------------------------------------------------------------------------
 
-std::uint64_t RunCliqueChaosDigest(std::uint64_t seed, sim::QueueKind queue,
-                                   net::DelayModel delay) {
+std::uint64_t RunCliqueChaosDigest(std::uint64_t seed, net::DelayModel delay) {
   rnd::Rng topo_rng(1);
   net::TopologyParams tp = net::TinyTopologyParams();
   tp.delay_model = delay;
@@ -351,7 +339,6 @@ std::uint64_t RunCliqueChaosDigest(std::uint64_t seed, sim::QueueKind queue,
   c.stream_s = 60.0;
   c.drain_s = 60.0;
   c.seed = seed;
-  c.queue_kind = queue;
   c.fault.loss_rate = 0.02;
   c.fault.dup_prob = 0.01;
   c.fault.jitter_s = 0.02;
@@ -381,30 +368,15 @@ std::uint64_t RunCliqueChaosDigest(std::uint64_t seed, sim::QueueKind queue,
 TEST(CliqueReplay, ChaosReplaysBitIdenticallyUnderBothDelayModels) {
   for (const net::DelayModel delay :
        {net::DelayModel::kHierarchical, net::DelayModel::kLandmark}) {
-    EXPECT_EQ(
-        RunCliqueChaosDigest(21, sim::QueueKind::kCalendar, delay),
-        RunCliqueChaosDigest(21, sim::QueueKind::kCalendar, delay))
+    EXPECT_EQ(RunCliqueChaosDigest(21, delay), RunCliqueChaosDigest(21, delay))
         << "clique chaos run diverged between identically-seeded runs "
            "(delay model " << static_cast<int>(delay) << ")";
   }
 }
 
-TEST(CliqueReplay, DigestsMatchAcrossQueueKinds) {
-  for (const net::DelayModel delay :
-       {net::DelayModel::kHierarchical, net::DelayModel::kLandmark}) {
-    EXPECT_EQ(
-        RunCliqueChaosDigest(21, sim::QueueKind::kCalendar, delay),
-        RunCliqueChaosDigest(21, sim::QueueKind::kBinaryHeap, delay))
-        << "clique election/succession timers dispatched differently "
-           "under the two queue kinds";
-  }
-}
-
 TEST(CliqueReplay, DigestSeesTheSeed) {
-  EXPECT_NE(RunCliqueChaosDigest(21, sim::QueueKind::kCalendar,
-                                 net::DelayModel::kLandmark),
-            RunCliqueChaosDigest(22, sim::QueueKind::kCalendar,
-                                 net::DelayModel::kLandmark));
+  EXPECT_NE(RunCliqueChaosDigest(21, net::DelayModel::kLandmark),
+            RunCliqueChaosDigest(22, net::DelayModel::kLandmark));
 }
 
 // ---------------------------------------------------------------------------
@@ -416,8 +388,7 @@ TEST(CliqueReplay, DigestSeesTheSeed) {
 // output-slot mixup all fail this test.
 // ---------------------------------------------------------------------------
 
-runner::GridRunSummary RunScenarioGrid(
-    int threads, sim::QueueKind queue = sim::QueueKind::kCalendar) {
+runner::GridRunSummary RunScenarioGrid(int threads) {
   runner::GridSpec spec;
   spec.figure = "determinism_probe";
   spec.title = "grid determinism probe";
@@ -428,13 +399,12 @@ runner::GridRunSummary RunScenarioGrid(
   spec.headline_metric = "disruptions";
   const net::Topology& topology =
       runner::SharedTopology(net::TinyTopologyParams(), 1);
-  spec.run = [&topology, queue](const runner::CellContext& cell) {
+  spec.run = [&topology](const runner::CellContext& cell) {
     exp::ScenarioConfig config;
     config.population = cell.row == 0 ? 40 : 60;
     config.warmup_s = 120.0;
     config.measure_s = 300.0;
     config.seed = cell.seed;
-    config.queue_kind = queue;
     const exp::Algorithm algorithm =
         cell.col == 0 ? exp::Algorithm::kMinDepth : exp::Algorithm::kRost;
     const exp::TreeScenarioResult r =
@@ -469,24 +439,6 @@ TEST(SeedReplayDeterminism, SerialAndParallelGridsAreBitIdentical) {
         << serial.cells[i].ctx.col_label << " rep "
         << serial.cells[i].ctx.rep << ") diverged";
   }
-}
-
-TEST(QueueEquivalence, SerialAndFourThreadGridsMatchAcrossQueueKinds) {
-  // The full 2x2: {calendar, heap} x {serial, 4 workers}. All four grids
-  // must digest identically -- queue choice and thread count are both
-  // implementation details the results must not see.
-  const runner::GridRunSummary cal_serial =
-      RunScenarioGrid(/*threads=*/1, sim::QueueKind::kCalendar);
-  const std::uint64_t reference = runner::DigestOutcomes(cal_serial.cells);
-  const auto expect_same = [&](int threads, sim::QueueKind queue,
-                               const char* label) {
-    const runner::GridRunSummary summary = RunScenarioGrid(threads, queue);
-    EXPECT_EQ(runner::DigestOutcomes(summary.cells), reference)
-        << label << " diverged from the serial calendar-queue grid";
-  };
-  expect_same(1, sim::QueueKind::kBinaryHeap, "serial binary-heap grid");
-  expect_same(4, sim::QueueKind::kCalendar, "4-thread calendar grid");
-  expect_same(4, sim::QueueKind::kBinaryHeap, "4-thread binary-heap grid");
 }
 
 TEST(SeedReplayDeterminism, GridCellsUseDistinctDerivedSeeds) {

@@ -572,7 +572,7 @@ TEST(SimProfiler, RssDeltaIsBaselinedAtConstruction) {
 
 TEST(SimProfiler, RunLoopSamplesPoolOccupancy) {
   obs::SimProfiler profiler;
-  sim::Simulator simulator(sim::QueueKind::kCalendar);
+  sim::Simulator simulator;
   simulator.SetProfiler(&profiler);
   // A standing population of far-future timers keeps the pool occupied
   // through the end-of-loop sample.

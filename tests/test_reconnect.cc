@@ -322,7 +322,7 @@ TEST(ReconnectStorm, ResolvesEveryReentryWithoutWedgingLeases) {
   c.reconnect_downtime_mean_s = 5.0;
   const exp::ChaosResult r = exp::RunChaosScenario(topology, c);
   EXPECT_TRUE(r.zero_wedged_locks);
-  EXPECT_EQ(r.counters.wedged_leases, 0);
+  EXPECT_EQ(r.registry.at("chaos.wedged_leases"), 0.0);
   // >= 10% of the nominal population actually went through the storm.
   EXPECT_GE(r.reconnect_storm_killed, 6);
   EXPECT_EQ(r.reentries_scheduled, r.reconnect_storm_killed);

@@ -82,39 +82,6 @@ TEST_F(SelectionTest, PickOldestIgnoresLayer) {
   EXPECT_EQ(PickOldestParent(*session_, {shallow, deep}, j), deep);
 }
 
-TEST_F(SelectionTest, LayersByBfsGroupsByDepth) {
-  Tree& tree = session_->tree();
-  const NodeId a = session_->InjectMember(3.0, 1e9);
-  const NodeId b = session_->InjectMember(2.0, 1e9);
-  const NodeId c = session_->InjectMember(0.5, 1e9);
-  sim_.RunUntil(1.0);
-  for (NodeId id : {a, b, c})
-    if (tree.Parent(id) != kNoNode) tree.Detach(id);
-  tree.Attach(kRootId, a);
-  tree.Attach(a, b);
-  tree.Attach(b, c);
-  const auto layers = LayersByBfs(tree);
-  ASSERT_EQ(layers.size(), 4u);
-  EXPECT_EQ(layers[0], std::vector<NodeId>{kRootId});
-  EXPECT_EQ(layers[1], std::vector<NodeId>{a});
-  EXPECT_EQ(layers[2], std::vector<NodeId>{b});
-  EXPECT_EQ(layers[3], std::vector<NodeId>{c});
-}
-
-TEST_F(SelectionTest, LayersByBfsSkipsDetachedFragments) {
-  Tree& tree = session_->tree();
-  const NodeId a = session_->InjectMember(3.0, 1e9);
-  const NodeId b = session_->InjectMember(2.0, 1e9);
-  sim_.RunUntil(1.0);
-  for (NodeId id : {a, b})
-    if (tree.Parent(id) != kNoNode) tree.Detach(id);
-  tree.Attach(kRootId, a);
-  tree.Attach(a, b);
-  tree.Detach(a);
-  const auto layers = LayersByBfs(tree);
-  EXPECT_EQ(layers.size(), 1u);  // only the root remains reachable
-}
-
 // The headroom guard: an eviction that would remove the overlay's only
 // spare capacity (a young supernode's) is deferred; the joiner lands in a
 // spare slot instead.

@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the building blocks on the hot
 // paths of the simulation: the event queue, the topology delay oracle,
-// tree walks and relaxed BO/TO joins on paper-scale overlays, partial-tree
-// construction + MLC selection, the per-outage recovery model, and a full
-// small churn scenario.
+// tree walks and relaxed BO/TO joins on paper-scale overlays, heartbeat and
+// gossip timers on prepopulated overlays, partial-tree construction + MLC
+// selection, the per-outage recovery model, and a full small churn
+// scenario.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -12,6 +13,8 @@
 #include "core/cer/recovery.h"
 #include "exp/scenario.h"
 #include "net/topology.h"
+#include "overlay/gossip.h"
+#include "overlay/heartbeat.h"
 #include "rand/distributions.h"
 #include "rand/rng.h"
 #include "sim/simulator.h"
@@ -233,6 +236,66 @@ BENCHMARK(BM_RelaxedJoin)
     ->Args({10000, 1})
     ->Iterations(100)
     ->Unit(benchmark::kMicrosecond);
+
+// --- heartbeat and gossip timers on prepopulated overlays -------------------
+//
+// Each iteration advances a prepopulated overlay (state.range(0) members,
+// no arrivals) by one timer period: a second of heartbeat sends,
+// deliveries and suspicion monitors, or a 30 s gossip period (one tick and
+// push-pull exchange per member). A fixed iteration count bounds how far
+// departures thin the membership. Items are dispatched events.
+
+void BM_HeartbeatSecond(benchmark::State& state) {
+  sim::Simulator sim;
+  overlay::SessionParams sp;
+  sp.external_failure_detection = true;
+  overlay::Session session(
+      sim, PaperTopology(),
+      exp::MakeProtocol(exp::Algorithm::kMinDepth, core::RostParams{}), sp,
+      3);
+  const overlay::HeartbeatParams params;
+  overlay::HeartbeatService heartbeat(session, params, 5);
+  session.Prepopulate(static_cast<int>(state.range(0)));
+  // Past every start phase and every attach-time monitor.
+  sim.RunUntil(2.0 * heartbeat.SuspicionTimeout());
+  const std::uint64_t events_before = sim.executed_count();
+  for (auto _ : state) {
+    sim.RunUntil(sim.now() + params.period_s);
+    benchmark::DoNotOptimize(heartbeat.heartbeats_sent());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(sim.executed_count() - events_before));
+}
+BENCHMARK(BM_HeartbeatSecond)
+    ->Arg(2000)
+    ->Arg(10000)
+    ->Iterations(40)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_GossipPeriod(benchmark::State& state) {
+  sim::Simulator sim;
+  overlay::Session session(
+      sim, PaperTopology(),
+      exp::MakeProtocol(exp::Algorithm::kMinDepth, core::RostParams{}),
+      overlay::SessionParams{}, 3);
+  const overlay::GossipParams params;
+  overlay::GossipService gossip(session, params, 5);
+  session.SetMembershipOracle(&gossip);
+  session.Prepopulate(static_cast<int>(state.range(0)));
+  // Every member has ticked: views are past their bootstrap.
+  sim.RunUntil(params.period_s);
+  const std::uint64_t events_before = sim.executed_count();
+  for (auto _ : state) {
+    sim.RunUntil(sim.now() + params.period_s);
+    benchmark::DoNotOptimize(gossip.exchanges_performed());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(sim.executed_count() - events_before));
+}
+BENCHMARK(BM_GossipPeriod)
+    ->Arg(10000)
+    ->Iterations(8)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MlcSelection(benchmark::State& state) {
   // A realistic partial view: ~100 known members of a churned overlay.

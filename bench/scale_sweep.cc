@@ -5,7 +5,8 @@
 // stack produces) -- at steady-state sizes 10^5..10^6 and records the
 // simulator hot-path numbers from obs::SimProfiler: dispatched events,
 // run-loop wall time (queue operations included), events per wall second,
-// peak RSS, and calendar event-pool occupancy.
+// peak RSS, calendar event-pool occupancy, and the calendar's bucket
+// storage at the end of the cell.
 //
 // One column, "calendar+landmark": the production configuration (calendar
 // event queue, DelayModel::kLandmark delay oracle), which fits 10^6
@@ -90,6 +91,8 @@ runner::CellResult RunCell(const SweepOptions& opt,
   out.metrics["pool_capacity_max"] =
       static_cast<double>(prof.pool_capacity_max());
   out.metrics["pending_end"] = static_cast<double>(sim.pending_count());
+  out.metrics["bucket_storage_mb"] =
+      static_cast<double>(sim.pool_stats().bucket_bytes) / 1e6;
   out.metrics["delay_table_mb"] =
       static_cast<double>(topo.DelayTableBytes()) / 1e6;
   out.metrics["population_end"] = session.alive_count();
@@ -177,6 +180,7 @@ int main(int argc, char** argv) {
       {"proc peak RSS (MB)", "peak_rss_mb", 1},
       {"cell RSS delta (MB)", "rss_delta_mb", 1},
       {"pool live max", "pool_live_max", 0},
+      {"bucket storage (MB)", "bucket_storage_mb", 2},
       {"delay tables (MB)", "delay_table_mb", 2},
       {"population", "population_end", 0},
   };

@@ -6,7 +6,7 @@ cell, and aggregates that reference real rows/cols/metrics. CI's
 scale-smoke job runs this over a fresh bench/scale_sweep export so a
 schema drift fails the push that caused it, not the next resume.
 
-Usage: validate_results.py RESULTS.json [--require-metric NAME]
+Usage: validate_results.py RESULTS.json [--require-metric NAME ...]
 """
 
 import argparse
@@ -121,7 +121,7 @@ def check_incidents(block, where, errors):
             errors.append(f"{where}: incident stat '{name}' is negative")
 
 
-def validate(doc, require_metric):
+def validate(doc, require_metrics=()):
     errors = []
     check_fields(doc, REQUIRED_TOP_LEVEL, "document", errors)
     if errors:
@@ -193,10 +193,11 @@ def validate(doc, require_metric):
             f"headline_metric '{doc['headline_metric']}' never appears in "
             "aggregates"
         )
-    if require_metric and require_metric not in metric_names:
-        errors.append(
-            f"required metric '{require_metric}' never appears in aggregates"
-        )
+    for name in require_metrics:
+        if name not in metric_names:
+            errors.append(
+                f"required metric '{name}' never appears in aggregates"
+            )
     return errors
 
 
@@ -205,8 +206,10 @@ def main(argv):
     parser.add_argument("results", type=pathlib.Path)
     parser.add_argument(
         "--require-metric",
-        default=None,
-        help="additionally require this metric in the aggregates",
+        action="append",
+        default=[],
+        help="additionally require this metric in the aggregates "
+        "(repeatable)",
     )
     args = parser.parse_args(argv)
 

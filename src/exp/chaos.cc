@@ -73,7 +73,7 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
                    : nullptr;
 
   overlay::SessionParams sp = config.session;
-  sp.external_failure_detection = config.use_heartbeats;
+  sp.external_failure_detection = true;
   // The packet simulator requires the rejoin delay to cover its detection
   // time; the harness keeps mismatched configs runnable.
   sp.rejoin_delay_s = std::max(sp.rejoin_delay_s, config.packet.detect_s);
@@ -97,17 +97,8 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
                               config.seed ^ 0x9e3779b97f4a7c15ULL);
   session.protocol().SetFaultPlane(&fault_plane);
 
-  std::optional<overlay::HeartbeatService> heartbeat;
-  if (config.use_heartbeats)
-    heartbeat.emplace(session, config.heartbeat, config.seed ^ 0xbea7ULL,
-                      &fault_plane);
-
-  std::optional<overlay::GossipService> gossip;
-  if (config.use_gossip) {
-    gossip.emplace(session, config.gossip, config.seed ^ 0x60551bULL);
-    gossip->SetFaultPlane(&fault_plane);
-    session.SetMembershipOracle(&*gossip);
-  }
+  overlay::HeartbeatService heartbeat(session, config.heartbeat,
+                                     config.seed ^ 0xbea7ULL, &fault_plane);
 
   stream::PacketLevelStream stream(session, config.packet,
                                    config.seed ^ 0x5151ULL);
@@ -275,8 +266,7 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
 
   const sim::Time now = simulator.now();
   reg.MergeFrom(metrics::CollectChaosRegistry(
-      &fault_plane, heartbeat ? &*heartbeat : nullptr, rost,
-      gossip ? &*gossip : nullptr, &stream, now));
+      &fault_plane, &heartbeat, rost, &stream, now));
   // Re-entry counters live here rather than in the collector: the session
   // object is not part of the CollectChaosRegistry signature.
   reg.Count("reconnect.scheduled",

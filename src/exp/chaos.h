@@ -9,7 +9,7 @@
 //     orphans discover parent deaths through (lossy) silence;
 //   * ROST's lock handshake runs over messages with leases and timeouts,
 //     so lost releases or dead holders cannot wedge the tree;
-//   * gossip slices and ELN notifications can be lost or delayed;
+//   * ELN notifications can be lost or delayed;
 //   * injectable failure patterns: one correlated stub-domain kill (every
 //     member hosted in the domain dies at once), a flash crowd of
 //     simultaneous random departures, and a recovery-group member killed
@@ -30,7 +30,6 @@
 
 #include "exp/scenario.h"
 #include "metrics/chaos_counters.h"
-#include "overlay/gossip.h"
 #include "overlay/heartbeat.h"
 #include "sim/fault_plane.h"
 #include "stream/packet_sim.h"
@@ -55,10 +54,7 @@ struct ChaosConfig {
 
   sim::FaultPlaneParams fault;  // loss/dup/jitter for every control message
 
-  bool use_heartbeats = true;  // heartbeat detection instead of the oracle
-  overlay::HeartbeatParams heartbeat;
-  bool use_gossip = false;  // real gossip membership over the fault plane
-  overlay::GossipParams gossip;
+  overlay::HeartbeatParams heartbeat;  // detection instead of the oracle
 
   // --- failure injection (times relative to stream start; <0 disables) ----
   // Correlated kill: every member hosted in stub domain `domain_kill_index`
@@ -102,7 +98,7 @@ struct ChaosConfig {
   core::RostParams rost;            // algorithm == kRost
   proto::CliqueParams clique;       // algorithm == kClique
   overlay::SessionParams session;   // external_failure_detection is set
-                                    // from use_heartbeats by the runner
+                                    // by the runner
   stream::PacketSimParams packet;
 
   // --- observability (obs/) -- all non-owning, null = off, each must

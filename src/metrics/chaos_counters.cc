@@ -5,7 +5,6 @@ namespace omcast::metrics {
 obs::Registry CollectChaosRegistry(const sim::FaultPlane* fault_plane,
                                    const overlay::HeartbeatService* heartbeat,
                                    const core::RostProtocol* rost,
-                                   const overlay::GossipService* gossip,
                                    const stream::PacketLevelStream* stream,
                                    sim::Time now) {
   obs::Registry reg;
@@ -38,8 +37,6 @@ obs::Registry CollectChaosRegistry(const sim::FaultPlane* fault_plane,
     count("chaos.handshake_aborts", rost->handshake_aborts());
     count("chaos.preempt_joins", rost->preempt_joins());
   }
-  if (gossip != nullptr)
-    count("chaos.stale_view_rejections", gossip->stale_rejections());
   if (stream != nullptr) {
     count("chaos.repairs_scheduled", stream->repairs_scheduled());
     count("chaos.eln_sent", stream->eln_notifications_sent());

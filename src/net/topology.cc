@@ -21,7 +21,9 @@ void FloydWarshall(int n, std::vector<double>& dist) {
       for (int j = 0; j < n; ++j) {
         const double via = dik + dist[static_cast<std::size_t>(k) * n + j];
         double& d = dist[static_cast<std::size_t>(i) * n + j];
-        if (via < d) d = via;
+        // Branch-free (minsd): a branch on this data-dependent test
+        // mispredicts, and its cost swung with code alignment.
+        d = std::min(d, via);
       }
     }
 }

@@ -75,9 +75,27 @@ std::vector<GossipService::Entry> GossipService::SampleSlice(NodeId member) {
   return slice;
 }
 
+void GossipService::IndexEntry(NodeId id, std::uint32_t pos) {
+  const auto slot = static_cast<std::size_t>(id);
+  if (slot >= index_stamp_.size()) {
+    index_stamp_.resize(slot + 1, 0);
+    index_pos_.resize(slot + 1, 0);
+  }
+  index_stamp_[slot] = merge_epoch_;
+  index_pos_[slot] = pos;
+}
+
 void GossipService::Merge(NodeId member, const std::vector<Entry>& incoming) {
   View& view = ViewFor(member);
   const double now = session_.simulator().now();
+  // Index the view by id once, so each incoming record finds its entry in
+  // O(1): the merge costs O(view + incoming), not O(view * incoming).
+  if (++merge_epoch_ == 0) {  // wrapped: no stale stamp may match again
+    std::fill(index_stamp_.begin(), index_stamp_.end(), 0);
+    merge_epoch_ = 1;
+  }
+  for (std::size_t pos = 0; pos < view.entries.size(); ++pos)
+    IndexEntry(view.entries[pos].id, static_cast<std::uint32_t>(pos));
   for (const Entry& in : incoming) {
     // Refuse entries that are already past the TTL: without this filter
     // stale records circulate between views as an epidemic, re-entering
@@ -92,11 +110,12 @@ void GossipService::Merge(NodeId member, const std::vector<Entry>& incoming) {
       // every view slot carries information.
       continue;
     }
-    auto it = std::find_if(view.entries.begin(), view.entries.end(),
-                           [&](const Entry& e) { return e.id == in.id; });
-    if (it != view.entries.end()) {
-      it->heard_at = std::max(it->heard_at, in.heard_at);
+    const auto slot = static_cast<std::size_t>(in.id);
+    if (slot < index_stamp_.size() && index_stamp_[slot] == merge_epoch_) {
+      Entry& known = view.entries[index_pos_[slot]];
+      known.heard_at = std::max(known.heard_at, in.heard_at);
     } else {
+      IndexEntry(in.id, static_cast<std::uint32_t>(view.entries.size()));
       view.entries.push_back(in);
     }
   }
@@ -145,28 +164,9 @@ void GossipService::Tick(NodeId member) {
     }
     // Push-pull: exchange random slices.
     const auto mine = SampleSlice(member);
-    if (fault_plane_ == nullptr) {
-      const auto theirs = SampleSlice(partner);
-      Merge(partner, mine);
-      Merge(member, theirs);
-    } else {
-      // The request carries our slice; the partner merges it on arrival and
-      // replies with its own. Either leg can be lost, duplicated (Merge is
-      // idempotent) or delayed past the TTL (Merge rejects, counted).
-      const double hop = session_.DelayMs(member, partner) / 1000.0;
-      fault_plane_->Deliver(
-          member, partner, hop, [this, member, partner, hop, mine] {
-            if (!session_.tree().Alive(partner)) return;
-            Merge(partner, mine);
-            const auto theirs = SampleSlice(partner);
-            fault_plane_->Deliver(partner, member, hop,
-                                  [this, member, theirs] {
-                                    if (!session_.tree().Alive(member))
-                                      return;
-                                    Merge(member, theirs);
-                                  });
-          });
-    }
+    const auto theirs = SampleSlice(partner);
+    Merge(partner, mine);
+    Merge(member, theirs);
     view.entries[pick].heard_at = now;  // the contact itself is fresh news
     ++exchanges_;
     break;

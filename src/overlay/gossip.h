@@ -20,12 +20,12 @@
 // join/recovery discovery over these views instead of uniform sampling.
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "overlay/session.h"
 #include "rand/rng.h"
-#include "sim/fault_plane.h"
 
 namespace omcast::overlay {
 
@@ -45,22 +45,13 @@ class GossipService final : public MembershipOracle {
   std::vector<NodeId> KnownMembers(Session& session, NodeId requester,
                                    int k) override;
 
-  // Routes exchange slices over real (lossy, delayed) messages: a lost
-  // request drops the whole push-pull, a lost reply drops the pull half,
-  // and delayed slices can arrive stale (rejected by Merge's TTL filter,
-  // counted in stale_rejections). The plane must outlive the run; nullptr
-  // restores the synchronous exchange.
-  void SetFaultPlane(sim::FaultPlane* fault_plane) {
-    fault_plane_ = fault_plane;
-  }
-
   // --- introspection (tests / ablation) -----------------------------------
   std::size_t ViewSize(NodeId member) const;
   long exchanges_performed() const { return exchanges_; }
   long dead_contacts() const { return dead_contacts_; }
-  // Incoming records already past the TTL when they arrived (only possible
-  // when a FaultPlane delays slices in flight); rejecting them keeps stale
-  // views from circulating as an epidemic.
+  // Incoming records already past the TTL when they arrived; rejecting them
+  // keeps stale views from circulating as an epidemic. Exchanges are
+  // synchronous and every shipped slice is pruned first, so this stays 0.
   long stale_rejections() const { return stale_rejections_; }
 
  private:
@@ -81,6 +72,8 @@ class GossipService final : public MembershipOracle {
   // Merges `incoming` into `member`'s view: freshest record per id wins,
   // oldest entries are dropped beyond view_size, self-records are ignored.
   void Merge(NodeId member, const std::vector<Entry>& incoming);
+  // Records that `id` sits at view position `pos` in the current Merge.
+  void IndexEntry(NodeId id, std::uint32_t pos);
   std::vector<Entry> SampleSlice(NodeId member);
   void Prune(View& view, double now);
 
@@ -93,7 +86,12 @@ class GossipService final : public MembershipOracle {
   // nondeterministic bucket order cannot leak into gossip decisions.
   // omcast-lint: allow(unordered-iter)
   std::unordered_map<NodeId, View> views_;
-  sim::FaultPlane* fault_plane_ = nullptr;  // nullptr: synchronous exchange
+  // Merge's id -> view-position index, indexed by NodeId. A slot is valid
+  // only while its stamp equals merge_epoch_, so each Merge rebuilds the
+  // index in O(view) without clearing it.
+  std::vector<std::uint32_t> index_stamp_;
+  std::vector<std::uint32_t> index_pos_;
+  std::uint32_t merge_epoch_ = 0;
   long exchanges_ = 0;
   long dead_contacts_ = 0;
   long stale_rejections_ = 0;

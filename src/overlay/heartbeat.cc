@@ -40,18 +40,24 @@ void HeartbeatService::EnsureState(NodeId id) {
   const auto need = static_cast<std::size_t>(id) + 1;
   if (sender_.size() >= need) return;
   sender_.resize(need, sim::kInvalidEventId);
+  started_.resize(need, 0);
   monitor_.resize(need, sim::kInvalidEventId);
+  deadline_.resize(need, 0.0);
   parent_died_at_.resize(need, -1.0);
 }
 
 void HeartbeatService::StartSender(NodeId id) {
   EnsureState(id);
-  sim::EventId& sender = sender_[static_cast<std::size_t>(id)];
-  if (sender != sim::kInvalidEventId) return;  // already beating
+  const auto i = static_cast<std::size_t>(id);
+  if (started_[i] != 0) return;  // already beating, or a free rider
+  started_[i] = 1;
   // Random phase: deployments do not fire their timers in lockstep.
-  sender = session_.simulator().ScheduleAfter(
-      rng_.Uniform(0.0, params_.period_s), [this, id] { SendBeats(id); },
-      "heartbeat.send");
+  const double phase = rng_.Uniform(0.0, params_.period_s);
+  // A free rider never has a child to beat. The draw above still happens,
+  // so no other member's phase depends on whether this one beats.
+  if (session_.tree().Capacity(id) == 0) return;
+  sender_[i] = session_.simulator().ScheduleAfter(
+      phase, [this, id] { SendBeats(id); }, "heartbeat.send");
 }
 
 void HeartbeatService::SendBeats(NodeId id) {
@@ -81,23 +87,42 @@ void HeartbeatService::OnHeartbeat(NodeId child, NodeId from) {
   // flight); it must not keep a dead parent's ghost alive.
   if (tree.Parent(child) != from) return;
   EnsureState(child);
-  parent_died_at_[static_cast<std::size_t>(child)] = -1.0;
-  ArmMonitor(child);
+  const auto i = static_cast<std::size_t>(child);
+  parent_died_at_[i] = -1.0;
+  // The pending monitor picks the new deadline up when it fires.
+  deadline_[i] = session_.simulator().now() + SuspicionTimeout();
+  if (monitor_[i] == sim::kInvalidEventId) ScheduleMonitor(child);
 }
 
 void HeartbeatService::ArmMonitor(NodeId child) {
   if (child == kRootId) return;  // the source has no parent to monitor
   EnsureState(child);
-  sim::EventId& monitor = monitor_[static_cast<std::size_t>(child)];
-  if (monitor != sim::kInvalidEventId)
-    session_.simulator().Cancel(monitor);
-  monitor = session_.simulator().ScheduleAfter(
-      SuspicionTimeout(), [this, child] { Suspect(child); },
-      "heartbeat.monitor");
+  const auto i = static_cast<std::size_t>(child);
+  if (monitor_[i] != sim::kInvalidEventId)
+    session_.simulator().Cancel(monitor_[i]);
+  deadline_[i] = session_.simulator().now() + SuspicionTimeout();
+  ScheduleMonitor(child);
+}
+
+void HeartbeatService::ScheduleMonitor(NodeId child) {
+  const auto i = static_cast<std::size_t>(child);
+  monitor_[i] = session_.simulator().ScheduleAt(
+      deadline_[i], [this, child] { OnMonitor(child); }, "heartbeat.monitor");
+}
+
+void HeartbeatService::OnMonitor(NodeId child) {
+  const auto i = static_cast<std::size_t>(child);
+  monitor_[i] = sim::kInvalidEventId;
+  // A beat landed since this monitor was scheduled: wait out the silence
+  // from that beat instead.
+  if (session_.simulator().now() < deadline_[i]) {
+    ScheduleMonitor(child);
+    return;
+  }
+  Suspect(child);
 }
 
 void HeartbeatService::Suspect(NodeId child) {
-  monitor_[static_cast<std::size_t>(child)] = sim::kInvalidEventId;
   const Tree& tree = session_.tree();
   if (!tree.Alive(child)) return;
   const NodeId parent = tree.Parent(child);

@@ -18,6 +18,21 @@
 //
 // Use with SessionParams::external_failure_detection = true, which makes
 // the session defer orphan rejoins to this detector (Session::RejoinOrphan).
+//
+// Timers do only work that changes an outcome:
+//
+//   * a member with zero capacity (a free rider) can never be a parent --
+//     Tree::Attach checks spare capacity -- so it never arms a send timer.
+//     It still draws its phase at first attach, which keeps the service's
+//     RNG stream in step with a member that does beat. The decision is made
+//     once, when the member first attaches (at construction for the
+//     source): Tree::SetCapacity, which only tests call, does not revisit
+//     it;
+//   * a delivered beat only moves the child's suspicion deadline. Each
+//     child keeps one monitor event; a monitor that fires before the
+//     deadline re-arms at the deadline, and only a fire at the deadline
+//     suspects, exactly SuspicionTimeout() after the last attach or
+//     delivered beat. Attaching cancels and re-schedules the monitor.
 #pragma once
 
 #include <vector>
@@ -51,6 +66,13 @@ class HeartbeatService {
     return params_.period_s * (params_.miss_threshold + 1);
   }
 
+  // When `child` suspects its parent unless another beat lands first: its
+  // last attach or delivered beat plus SuspicionTimeout(). Requires that
+  // `child` attached at least once. Test-facing.
+  sim::Time SuspicionDeadline(NodeId child) const {
+    return deadline_[static_cast<std::size_t>(child)];
+  }
+
   // --- introspection (tests / chaos metrics) -------------------------------
   long heartbeats_sent() const { return sent_; }
   long detections() const { return detections_; }
@@ -64,7 +86,11 @@ class HeartbeatService {
   void StartSender(NodeId id);
   void SendBeats(NodeId id);
   void OnHeartbeat(NodeId child, NodeId from);
+  // Attach-time arming: cancels the pending monitor and schedules a fresh
+  // one at the new deadline.
   void ArmMonitor(NodeId child);
+  void ScheduleMonitor(NodeId child);
+  void OnMonitor(NodeId child);
   void Suspect(NodeId child);
   void StopAll(NodeId id);
 
@@ -72,12 +98,16 @@ class HeartbeatService {
   HeartbeatParams params_;
   rnd::Rng rng_;
   sim::FaultPlane* fault_plane_;  // nullptr: reliable delivery
-  // Per-node bookkeeping, struct-of-arrays indexed by NodeId (the suspicion
-  // monitor is re-armed on every delivered heartbeat -- the hottest timer in
-  // the simulation -- so the three fields live in separate flat vectors
-  // rather than one padded record).
+  // Per-node bookkeeping, struct-of-arrays indexed by NodeId (every
+  // delivered heartbeat -- the hottest callback in the simulation -- writes
+  // one deadline, so the fields live in separate flat vectors rather than
+  // one padded record).
   std::vector<sim::EventId> sender_;   // periodic send timer
-  std::vector<sim::EventId> monitor_;  // child-side suspicion deadline
+  // Set once the member's phase was drawn: a free rider has no send timer
+  // to tell that it already started.
+  std::vector<char> started_;
+  std::vector<sim::EventId> monitor_;  // child-side suspicion monitor
+  std::vector<sim::Time> deadline_;    // silence deadline the monitor enforces
   // When the member's parent actually departed (for the latency metric);
   // negative while the parent is alive.
   std::vector<sim::Time> parent_died_at_;

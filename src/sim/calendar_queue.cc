@@ -90,7 +90,16 @@ void CalendarQueue::BucketInsert(std::size_t bucket, Time time,
     return;
   }
   shift_steps_ += static_cast<std::uint64_t>(b.end() - pos);
+  const std::size_t capacity = b.capacity();
   b.insert(pos, Entry{time, slot, slot});
+  bucket_slots_ += b.capacity() - capacity;
+}
+
+void CalendarQueue::TrimBucket(std::vector<Entry>& bucket) {
+  if (bucket.capacity() <= 4 * bucket.size()) return;
+  bucket_slots_ -= bucket.capacity();
+  std::vector<Entry>(bucket.begin(), bucket.end()).swap(bucket);
+  bucket_slots_ += bucket.capacity();
 }
 
 void CalendarQueue::Insert(Time time, std::uint64_t seq, std::uint64_t id,
@@ -132,6 +141,7 @@ bool CalendarQueue::Erase(std::uint64_t id) {
                   "pending event missing from its bucket");
     if (ev.prev < 0 && ev.next < 0) {
       b.erase(pos);
+      TrimBucket(b);
     } else if (ev.prev < 0) {  // chain head
       pos->head = ev.next;
       slab_[static_cast<std::size_t>(ev.next)].prev = -1;
@@ -208,6 +218,7 @@ void CalendarQueue::PopMin(Time* time, std::uint64_t* seq, std::uint64_t* id,
     slab_[static_cast<std::size_t>(ev.next)].prev = -1;
   } else {
     b.pop_back();
+    TrimBucket(b);
   }
   *time = ev.time;
   *seq = ev.seq;
@@ -230,6 +241,7 @@ CalendarQueue::PoolStats CalendarQueue::pool_stats() const {
   stats.bucket_count = bucket_mask_ + 1;
   stats.bucket_width_s = width_;
   stats.rebuilds = rebuilds_;
+  stats.bucket_bytes = bucket_slots_ * sizeof(Entry);
   return stats;
 }
 
@@ -291,7 +303,9 @@ void CalendarQueue::Rebuild() {
     b.clear();
     b.shrink_to_fit();
   }
+  bucket_slots_ = 0;
   for (std::vector<Entry>& b : buckets_) {
+    bucket_slots_ += b.capacity();
     if (b.size() < 2) continue;
     std::sort(b.begin(), b.end(), [](const Entry& a, const Entry& c) {
       return a.time > c.time;  // times are distinct across Entries

@@ -17,6 +17,12 @@
 //
 // Cancellation is EAGER: Erase() unlinks the chain node and frees the slot
 // immediately, so occupancy tracks the live event count and size() is exact.
+// A bucket that a pop or an erase leaves below a quarter of its capacity
+// shrinks to fit (an empty one frees all of it): the dense head of the
+// pending set sweeps through every bucket once per calendar year, so a
+// bucket that kept its high-water capacity would leave the whole calendar
+// sized for that crest long after it passed. Bucket storage stays within
+// four Entries per pending event.
 // The id -> slot mapping needed for cancellation is an open-addressing table
 // with backward-shift deletion -- deterministic, iteration-free and
 // allocation-free at steady state (std::unordered_* would heap-allocate a
@@ -51,6 +57,9 @@ class CalendarQueue {
     std::size_t bucket_count = 0;    // calendar days per year
     double bucket_width_s = 0.0;     // seconds per day
     std::uint64_t rebuilds = 0;      // resize / re-width operations so far
+    // Heap bytes of Entry storage reserved across all buckets (the bucket
+    // array's own headers excluded: bucket_count fixes those).
+    std::size_t bucket_bytes = 0;
   };
 
   CalendarQueue();
@@ -110,6 +119,9 @@ class CalendarQueue {
   void FreeSlot(std::int32_t slot);
   std::size_t BucketIndex(Time t) const;
   void BucketInsert(std::size_t bucket, Time time, std::int32_t slot);
+  // Gives back a bucket's storage beyond four times its size (see the
+  // header comment).
+  void TrimBucket(std::vector<Entry>& bucket);
   // Locates the earliest pending entry, advancing cur_day_. Returns the
   // bucket index holding it. Requires !empty().
   std::size_t FindMinBucket();
@@ -132,6 +144,7 @@ class CalendarQueue {
   std::int32_t free_head_ = -1;
   std::vector<std::vector<Entry>> buckets_;
   std::size_t bucket_mask_ = 0;    // buckets_.size() - 1 (power of two)
+  std::size_t bucket_slots_ = 0;   // sum of the buckets' Entry capacities
   double width_ = 1.0;             // seconds per bucket
   double inv_width_ = 1.0;         // 1 / width_ (division off the hot path)
   // Dispatch scan position: the calendar "day" (floor(time / width)) being

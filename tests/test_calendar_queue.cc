@@ -114,8 +114,10 @@ class QueuePair {
     return Agree(id);
   }
 
-  // Pops the minimum from both queues; `popped` receives its time.
-  ::testing::AssertionResult Pop(Time* popped = nullptr) {
+  // Pops the minimum from both queues; `popped` receives its time and
+  // `popped_id` its id.
+  ::testing::AssertionResult Pop(Time* popped = nullptr,
+                                 std::uint64_t* popped_id = nullptr) {
     if (calendar_.empty() || heap_.empty())
       return ::testing::AssertionFailure()
              << "pop with sizes " << calendar_.size() << " / " << heap_.size();
@@ -138,6 +140,7 @@ class QueuePair {
       return ::testing::AssertionFailure()
              << "event " << c.id << " carried the callback of " << fired_;
     if (popped != nullptr) *popped = c.time;
+    if (popped_id != nullptr) *popped_id = c.id;
     return Agree(c.id);
   }
 
@@ -327,6 +330,51 @@ TEST(CalendarQueue, MatchesHeapThroughGrowthRetunesAndFruitlessYears) {
   ASSERT_EQ(q.size(), 9000u);
   ASSERT_TRUE(q.Drain());
   EXPECT_GT(q.calendar().pool_stats().rebuilds, rebuilds_after_growth);
+}
+
+TEST(CalendarQueue, BucketStorageFollowsTheLiveCountAcrossManyYears) {
+  // The heartbeat workload's shape: periodic 1 s send timers, each fire
+  // spawning short-horizon deliveries to its children, over hours-out
+  // lifetimes that stay pending throughout. The deliveries make a dense
+  // crest just ahead of the clock that sweeps through every bucket once
+  // per calendar year; no bucket may keep its share of the crest after the
+  // crest passed, including a bucket that a lifetime keeps from emptying.
+  constexpr int kSenders = 2000;
+  constexpr int kChildren = 8;
+  constexpr double kSpan = 100.0;
+  rnd::Rng rng(5);
+  QueuePair q;
+  std::vector<char> periodic;  // indexed by event id
+  const auto arm = [&](Time t, bool is_periodic) {
+    const std::uint64_t id = q.Insert(t);
+    if (periodic.size() <= id) periodic.resize(id + 1, 0);
+    periodic[id] = is_periodic ? 1 : 0;
+  };
+  for (int i = 0; i < kSenders; ++i) {
+    arm(rng.Uniform(0.0, 1.0), true);
+    arm(rng.Uniform(3600.0, 36000.0), false);
+  }
+  Time now = 0.0;
+  std::size_t worst_bytes_per_live = 0;
+  while (now < kSpan) {
+    std::uint64_t id = 0;
+    ASSERT_TRUE(q.Pop(&now, &id)) << "at t=" << now;
+    if (periodic[id] == 0) continue;
+    arm(now + 1.0, true);
+    for (int c = 0; c < kChildren; ++c) arm(now + rng.Uniform(0.005, 0.05), false);
+    const CalendarQueue::PoolStats stats = q.calendar().pool_stats();
+    if (now > 2.0)
+      worst_bytes_per_live =
+          std::max(worst_bytes_per_live, stats.bucket_bytes / stats.live);
+  }
+  const CalendarQueue::PoolStats stats = q.calendar().pool_stats();
+  const double year_s =
+      static_cast<double>(stats.bucket_count) * stats.bucket_width_s;
+  EXPECT_GT(kSpan / year_s, 10.0) << "too few calendar years to ratchet";
+  // An Entry is 16 bytes: at most four of them per pending event.
+  EXPECT_LE(worst_bytes_per_live, 64u);
+  ASSERT_TRUE(q.Drain());
+  EXPECT_EQ(q.calendar().pool_stats().bucket_bytes, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "net/topology.h"
 #include "proto/min_depth.h"
@@ -125,6 +127,29 @@ TEST_F(GossipTest, ViewsExcludeSelfAndRoot) {
     for (NodeId k : known) {
       EXPECT_NE(k, id);
       EXPECT_NE(k, kRootId);
+    }
+  }
+}
+
+TEST_F(GossipTest, LongRunViewsHoldDistinctOthers) {
+  // Churn plus many periods of merges (bootstraps, push-pull slices): at
+  // every check each view must be a set of other members. A duplicate
+  // record is pruned once it goes a TTL unrefreshed, so look often. A
+  // narrow source makes most parents members, so a joiner's bootstrap
+  // batch (its parent, then a sample of members) often names one id twice.
+  session_->tree().SetCapacity(kRootId, 4);
+  session_->Prepopulate(60);
+  session_->StartArrivals(60.0 / rnd::kMeanLifetimeSeconds);
+  const int k = GossipParams{}.view_size;  // >= the view: all of it
+  for (double t = 10.0; t <= 1500.0; t += 10.0) {
+    sim_.RunUntil(t);
+    for (NodeId id : session_->alive_members()) {
+      const std::vector<NodeId> known =
+          gossip_->KnownMembers(*session_, id, k);
+      const std::set<NodeId> distinct(known.begin(), known.end());
+      ASSERT_EQ(distinct.size(), known.size()) << "member " << id << " t=" << t;
+      ASSERT_FALSE(distinct.contains(id)) << "member " << id << " t=" << t;
+      ASSERT_FALSE(distinct.contains(kRootId)) << "member " << id << " t=" << t;
     }
   }
 }

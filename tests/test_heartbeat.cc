@@ -1,19 +1,32 @@
 // HeartbeatService tests: genuine detection (parent really died) with
-// bounded latency, no false suspicions on a clean plane, and false
-// suspicion + disruption-free recovery when a link is fully severed.
+// bounded latency, no false suspicions on a clean plane, false suspicion +
+// disruption-free recovery when a link is fully severed, free riders that
+// never wake to send, and suspicions that land exactly on the deadline.
 #include "overlay/heartbeat.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "net/topology.h"
+#include "obs/profile.h"
+#include "obs/trace.h"
 #include "proto/min_depth.h"
 #include "sim/fault_plane.h"
 #include "sim/simulator.h"
 
 namespace omcast::overlay {
 namespace {
+
+// Times at which `kind` was traced for `subject`.
+std::vector<double> TracedTimes(const obs::Tracer& tracer, obs::EventKind kind,
+                                NodeId subject) {
+  std::vector<double> times;
+  for (const obs::TraceEvent& ev : tracer.Events())
+    if (ev.kind == kind && ev.subject == subject) times.push_back(ev.t);
+  return times;
+}
 
 class HeartbeatTest : public ::testing::Test {
  protected:
@@ -103,6 +116,92 @@ TEST_F(HeartbeatTest, SeveredLinkCausesFalseSuspicionAndReconnection) {
   // disruption) and is attached again.
   EXPECT_GT(tree.Get(child).reconnections, reconnections_before);
   EXPECT_TRUE(tree.Alive(child));
+}
+
+TEST_F(HeartbeatTest, FreeRidersNeverWakeToSend) {
+  MakeSession();
+  HeartbeatService hb(*session_, {}, 7);
+  session_->Prepopulate(60);
+  sim_.RunUntil(10.0);
+  const Tree& tree = session_->tree();
+  const std::vector<NodeId> alive = session_->alive_members();
+  long beaters = 1;  // the source
+  long free_riders = 0;
+  for (NodeId id : alive) {
+    ASSERT_NE(tree.Parent(id), kNoNode) << "member " << id;
+    if (tree.Capacity(id) == 0)
+      ++free_riders;
+    else
+      ++beaters;
+  }
+  ASSERT_GT(free_riders, 0);
+  ASSERT_GT(beaters, 1);
+
+  // Every member that can have a child fires once per period; a free rider
+  // never fires at all.
+  obs::SimProfiler prof;
+  sim_.SetProfiler(&prof);
+  constexpr int kPeriods = 5;
+  sim_.RunUntil(10.0 + kPeriods * HeartbeatParams{}.period_s);
+  sim_.SetProfiler(nullptr);
+  ASSERT_EQ(session_->alive_members(), alive) << "membership changed";
+  EXPECT_EQ(prof.per_tag().at("heartbeat.send").count,
+            static_cast<std::uint64_t>(kPeriods * beaters));
+  EXPECT_EQ(hb.false_suspicions(), 0);
+}
+
+TEST_F(HeartbeatTest, OrphanSuspectsExactlyAtItsDeadline) {
+  MakeSession();
+  obs::Tracer tracer;
+  session_->SetTracer(&tracer);
+  HeartbeatService hb(*session_, {}, 7);
+
+  Tree& tree = session_->tree();
+  tree.SetCapacity(kRootId, 1);
+  const NodeId parent = session_->InjectMember(2.0, 1e9);
+  sim_.RunUntil(1.0);
+  const NodeId child = session_->InjectMember(1.0, 1e9);
+  // Several suspicion timeouts of beats: the child's monitor has fired
+  // early and re-armed at its deadline more than once.
+  sim_.RunUntil(15.0);
+  ASSERT_EQ(tree.Parent(child), parent);
+
+  session_->DepartNow(parent);
+  // No beat reaches the orphan any more: its last one fixed the deadline.
+  const sim::Time deadline = hb.SuspicionDeadline(child);
+  EXPECT_GT(deadline, sim_.now());
+  EXPECT_LE(deadline, sim_.now() + hb.SuspicionTimeout());
+  sim_.RunUntil(deadline + 1.0);
+  EXPECT_EQ(hb.detections(), 1);
+  EXPECT_EQ(TracedTimes(tracer, obs::EventKind::kSuspicion, child),
+            std::vector<double>{deadline});
+}
+
+TEST_F(HeartbeatTest, SeveredLinkFalselySuspectsExactlyAtTheDeadline) {
+  MakeSession();
+  obs::Tracer tracer;
+  session_->SetTracer(&tracer);
+  sim::FaultPlane plane(sim_, {}, 11);
+  HeartbeatService hb(*session_, {}, 7, &plane);
+
+  Tree& tree = session_->tree();
+  tree.SetCapacity(kRootId, 1);
+  const NodeId parent = session_->InjectMember(2.0, 1e9);
+  sim_.RunUntil(1.0);
+  const NodeId child = session_->InjectMember(1.0, 1e9);
+  sim_.RunUntil(15.0);
+  ASSERT_EQ(tree.Parent(child), parent);
+
+  plane.SetLinkLossRate(parent, child, 1.0);
+  // Hops are milliseconds: within a second the last beat that left before
+  // the cut has landed and moved the deadline for the last time.
+  sim_.RunUntil(sim_.now() + 1.0);
+  const sim::Time deadline = hb.SuspicionDeadline(child);
+  EXPECT_GT(deadline, sim_.now());
+  sim_.RunUntil(deadline + 1.0);
+  EXPECT_EQ(hb.false_suspicions(), 1);
+  EXPECT_EQ(TracedTimes(tracer, obs::EventKind::kFalseSuspicion, child),
+            std::vector<double>{deadline});
 }
 
 }  // namespace

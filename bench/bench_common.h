@@ -72,9 +72,11 @@ struct BenchEnv {
   std::string out_dir;
   double warmup_s = 0.0;
   double measure_s = 0.0;
-  // The five steady-state sizes of Figs. 4, 7, 8, 10, 12 (scaled at small).
+  // The steady-state sizes of the tree-size sweep (Figs. 4, 7, 8 and 10,
+  // all printed by bench/fig04_disruptions) and of Fig. 12.
   std::vector<int> sizes;
-  // The single-size experiments (Figs. 5, 11, 13: the paper's "8000").
+  // The single-size experiments (Figs. 5, 6/9, 11, 13, 14 and the
+  // ablations: the paper's "8000").
   int focus_size = 0;
   // Shared immutable topology, owned by the process-wide cache; cells on
   // every runner thread read it concurrently without locking.
@@ -330,51 +332,6 @@ inline runner::CellResult StreamCellResult(const exp::StreamScenarioResult& r) {
   out.metrics["outages"] = static_cast<double>(r.outages);
   out.metrics["recovery_rate"] = r.avg_recovery_rate;
   return out;
-}
-
-// The size-sweep tree grid shared by Figs. 4, 7, 8 and 10: rows are the
-// steady-state sizes, columns the five algorithms, and every cell records
-// the full tree-metric set (so one JSON file serves all four figures'
-// metrics). `env` must outlive the spec.
-inline runner::GridSpec TreeSizeSweepSpec(const BenchEnv& env,
-                                          std::string figure,
-                                          std::string title,
-                                          std::string headline_metric) {
-  runner::GridSpec spec;
-  spec.figure = std::move(figure);
-  spec.title = std::move(title);
-  spec.row_header = "size";
-  for (const int size : env.sizes) spec.rows.push_back(std::to_string(size));
-  for (const exp::Algorithm a : exp::AllAlgorithms())
-    spec.cols.push_back(exp::AlgorithmLabel(a));
-  spec.reps = env.reps;
-  spec.headline_metric = std::move(headline_metric);
-  spec.run = [&env](const runner::CellContext& cell) {
-    exp::ScenarioConfig config = env.BaseConfig();
-    config.population = env.sizes[cell.row];
-    config.seed = cell.seed;
-    // Per-cell observability: the registry snapshot, recovery curves, and
-    // incident breakdown ride along in the results JSON (schema v3); the
-    // profiler -- wall clock, so never part of results or digests -- merges
-    // process-wide.
-    obs::Registry reg;
-    config.registry = &reg;
-    config.timeseries_window_s = env.timeseries_window_s;
-    config.incident_analysis = true;
-    CellTraceStream trace(env.trace_dir, cell);
-    config.tracer = trace.tracer();
-    obs::SimProfiler prof;
-    if (env.profile) config.profiler = &prof;
-    const exp::Algorithm a = exp::AllAlgorithms()[cell.col];
-    const exp::TreeScenarioResult r = exp::RunTreeScenario(env.Topo(), a, config);
-    runner::CellResult out = TreeCellResult(r);
-    out.registry = reg.Flatten();
-    out.incidents = r.incidents;
-    ExportTimeSeries(reg, &out);
-    if (env.profile) obs::GlobalProfileAggregator().Merge(prof);
-    return out;
-  };
-  return spec;
 }
 
 // Prints the merged dispatch profile once, after the grids, when --profile

@@ -1,26 +1,98 @@
-// Fig. 4: average number of streaming disruptions per node vs steady-state
-// network size, for the five tree-construction algorithms.
+// Figs. 4, 7, 8 and 10: four metrics of one tree-size sweep. The grid runs
+// once -- rows are the steady-state sizes, columns the five
+// tree-construction algorithms -- and every cell records the full
+// tree-metric set, so all four tables describe the same simulated worlds.
 //
-// Paper shape: minimum-depth and longest-first worst; relaxed BO better;
-// relaxed TO better still; ROST best (36-57% below relaxed BO).
+// Fig. 4, avg streaming disruptions per node. Paper shape: minimum-depth
+// and longest-first worst; relaxed BO better; relaxed TO better still;
+// ROST best (36-57% below relaxed BO).
+//
+// Fig. 7, avg end-to-end service delay (ms along the overlay paths). ROST
+// should be the best of the three distributed algorithms and within
+// ~10-25% of the centralized relaxed-BO.
+//
+// Fig. 8, avg network stretch (overlay path delay / direct unicast delay):
+// the same ordering as Fig. 7.
+//
+// Fig. 10, protocol overhead: the average number of reconnections the
+// optimization mechanism imposes on a member during its lifetime.
+// Minimum-depth and longest-first impose none by construction; ROST should
+// stay far below one; the centralized relaxed BO/TO pay the most.
+//
+// The grid keeps the figure name "fig04_disruptions": it keys every cell
+// seed and the --resume check, and names the results JSON.
 #include <iostream>
 
 #include "bench_common.h"
 
+namespace {
+
+using namespace omcast;
+
+// `env` must outlive the spec.
+runner::GridSpec TreeSizeSweepSpec(const bench::BenchEnv& env) {
+  runner::GridSpec spec;
+  spec.figure = "fig04_disruptions";
+  spec.title = "avg streaming disruptions per node";
+  spec.row_header = "size";
+  for (const int size : env.sizes) spec.rows.push_back(std::to_string(size));
+  for (const exp::Algorithm a : exp::AllAlgorithms())
+    spec.cols.push_back(exp::AlgorithmLabel(a));
+  spec.reps = env.reps;
+  spec.headline_metric = "disruptions";
+  spec.run = [&env](const runner::CellContext& cell) {
+    exp::ScenarioConfig config = env.BaseConfig();
+    config.population = env.sizes[cell.row];
+    config.seed = cell.seed;
+    // Per-cell observability: the registry snapshot, recovery curves, and
+    // incident breakdown ride along in the results JSON (schema v3); the
+    // profiler -- wall clock, so never part of results or digests -- merges
+    // process-wide.
+    obs::Registry reg;
+    config.registry = &reg;
+    config.timeseries_window_s = env.timeseries_window_s;
+    config.incident_analysis = true;
+    bench::CellTraceStream trace(env.trace_dir, cell);
+    config.tracer = trace.tracer();
+    obs::SimProfiler prof;
+    if (env.profile) config.profiler = &prof;
+    const exp::Algorithm a = exp::AllAlgorithms()[cell.col];
+    const exp::TreeScenarioResult r = exp::RunTreeScenario(env.Topo(), a, config);
+    runner::CellResult out = bench::TreeCellResult(r);
+    out.registry = reg.Flatten();
+    out.incidents = r.incidents;
+    bench::ExportTimeSeries(reg, &out);
+    if (env.profile) obs::GlobalProfileAggregator().Merge(prof);
+    return out;
+  };
+  return spec;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace omcast;
   util::FlagSet flags;
   bench::DefineCommonFlags(flags);
   if (!flags.Parse(argc, argv)) return 1;
   const bench::BenchEnv env = bench::MakeEnv(flags);
   bench::PrintHeader("Fig. 4 -- avg streaming disruptions per node", env);
 
-  const runner::GridSpec spec = bench::TreeSizeSweepSpec(
-      env, "fig04_disruptions", "avg streaming disruptions per node",
-      "disruptions");
+  const runner::GridSpec spec = TreeSizeSweepSpec(env);
   const runner::ResultsSink sink = bench::RunGridBench(env, spec);
   bench::PrintMetricTable(spec, sink, "disruptions", 3,
                           "avg disruptions per node (rows: steady-state size)");
+
+  std::cout << "\n=== Fig. 7 -- avg end-to-end service delay (ms) ===\n";
+  bench::PrintMetricTable(spec, sink, "delay_ms", 1,
+                          "avg service delay in ms (rows: steady-state size)");
+  std::cout << "\n=== Fig. 8 -- avg network stretch ===\n";
+  bench::PrintMetricTable(spec, sink, "stretch", 2,
+                          "avg stretch (rows: steady-state size)");
+  std::cout
+      << "\n=== Fig. 10 -- protocol overhead (reconnections per node) ===\n";
+  bench::PrintMetricTable(
+      spec, sink, "reconnections", 3,
+      "avg optimization-induced reconnections per member lifetime");
   bench::MaybePrintProfile(env);
   return 0;
 }

@@ -1,10 +1,13 @@
 #!/bin/bash
 # Regenerates every paper figure at the full Section 5 scale through the
 # parallel experiment runner into results/paper/ (.txt tables + .json
-# per-cell results). Expect hours on one core; the sweep figures (4, 7, 8,
-# 10) dominate because the centralized relaxed-BO/TO baselines do a global
-# scan per join. The runner spreads grid cells across THREADS workers and
-# the sweep is resumable: rerun with RESUME=1 after an interruption and
+# per-cell results). Measured with THREADS=4 on a 4-core VM (g++ 12,
+# RelWithDebInfo): the tree-size sweep (fig04_disruptions, which prints
+# Figs. 4, 7, 8 and 10) took 86 s with 3 reps. Its critical path is the
+# centralized relaxed-TO/BO cells, which scan the whole tree per join: 29 s
+# and 21 s at 14000 members in a 1-rep run, where no other cell took over
+# 2.5 s. Fig. 12 took 14 s and Fig. 14 3.3 s, each with 1 rep. The sweep
+# is resumable: rerun with RESUME=1 after an interruption and
 # already-computed cells are reused from the .json files (seed-checked, so
 # stale caches re-run instead of poisoning the figures).
 #
@@ -41,21 +44,16 @@ run() {
 # Multi-rep everywhere: the runner parallelizes across (size x algorithm x
 # rep) cells, so the sweep figures now afford reps=3 (mean +/- CI in the
 # JSON aggregates) where the serial harness capped them at reps=1.
-run fig04_disruptions 3
-run fig07_service_delay 3
-run fig08_stretch 3
-run fig10_protocol_cost 3
+run fig04_disruptions 3          # Figs. 4, 7, 8 and 10 from one sweep
 run fig05_disruption_cdf 3
 run fig11_switch_interval 3
 run fig12_group_size 3
 run fig13_buffer_size 3
 run fig14_rost_cer 5
-run fig06_member_disruptions 1   # single tagged-member trace by design
-run fig09_member_delay 1         # single tagged-member trace by design
+run fig06_member_disruptions 1   # Figs. 6 and 9: one tagged-member trace
 run ablation_btp 3
 run ablation_mlc 3
 run ablation_gossip 3
-run ext_multi_tree 3
 
 python3 scripts/make_bench_summary.py "$OUT" -o "$OUT/bench_summary.json" \
   || status=1

@@ -26,13 +26,14 @@ common=(--threads="$THREADS" --out="$OUT")
 if [ "$RESUME" = "1" ]; then common+=(--resume=true); fi
 
 status=0
-for b in "$BUILD"/bench/fig* "$BUILD"/bench/ablation* "$BUILD"/bench/ext_multi_tree; do
-  [ -x "$b" ] || continue
-  name=$(basename "$b")
-  case "$name" in micro_core) continue ;; esac
+# fig04_disruptions prints Figs. 4, 7, 8 and 10 from one tree-size sweep;
+# fig06_member_disruptions prints Figs. 6 and 9 from one tagged-member trace.
+for name in fig04_disruptions fig05_disruption_cdf fig06_member_disruptions \
+    fig11_switch_interval fig12_group_size fig13_buffer_size fig14_rost_cer \
+    ablation_btp ablation_gossip ablation_mlc; do
   echo "=== $name ==="
   # Tables go to the .txt; progress/ETA lines stay on stderr (the console).
-  if ! "$b" "${common[@]}" > "$OUT/$name.txt"; then
+  if ! "$BUILD/bench/$name" "${common[@]}" > "$OUT/$name.txt"; then
     echo "FAILED: $name" >&2
     status=1
   fi

@@ -107,8 +107,8 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
   rnd::Rng chaos_rng(config.seed ^ 0xc4a05ULL);
   ChaosResult r;
   // Built up-front so the recovery-curve sampler can write series into it
-  // while the run executes; the end-of-run chaos counter snapshot is merged
-  // in afterwards.
+  // while the run executes; the end-of-run counters are written in
+  // afterwards.
   obs::Registry reg;
 
   session.Prepopulate(config.population);
@@ -265,18 +265,55 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
   }
 
   const sim::Time now = simulator.now();
-  reg.MergeFrom(metrics::CollectChaosRegistry(
-      &fault_plane, &heartbeat, rost, &stream, now));
-  // Re-entry counters live here rather than in the collector: the session
-  // object is not part of the CollectChaosRegistry signature.
-  reg.Count("reconnect.scheduled",
-            static_cast<double>(session.reentries_scheduled()));
-  reg.Count("reconnect.attached",
-            static_cast<double>(session.reentries_attached()));
-  reg.Count("reconnect.abandoned",
-            static_cast<double>(session.reentries_abandoned()));
-  reg.Count("reconnect.pending",
-            static_cast<double>(session.reentries_pending()));
+  // Every component's resilience counters: "chaos.*" for the control plane
+  // and the repair data path (lease counters on ROST runs only), "qoe.*" for
+  // frame playback (all zero unless PacketSimParams.frame_playback),
+  // "reconnect.*" for session re-entry.
+  const auto count = [&reg](const char* name, long v) {
+    reg.Count(name, static_cast<double>(v));
+  };
+  count("chaos.messages_sent", fault_plane.messages_sent());
+  count("chaos.messages_dropped", fault_plane.messages_dropped());
+  count("chaos.messages_duplicated", fault_plane.messages_duplicated());
+  count("chaos.messages_delivered", fault_plane.messages_delivered());
+  count("chaos.heartbeats_sent", heartbeat.heartbeats_sent());
+  count("chaos.detections", heartbeat.detections());
+  count("chaos.false_suspicions", heartbeat.false_suspicions());
+  reg.SetGauge("chaos.mean_detection_latency_s",
+               heartbeat.detection_latency().count() > 0
+                   ? heartbeat.detection_latency().mean()
+                   : 0.0);
+  if (rost != nullptr) {
+    count("chaos.leases_granted", rost->leases_granted());
+    count("chaos.leases_released", rost->leases_released());
+    count("chaos.leases_expired", rost->leases_expired());
+    count("chaos.leases_outstanding", rost->leases_outstanding());
+    count("chaos.wedged_leases", rost->WedgedLeases(now));
+    count("chaos.lock_timeouts", rost->lock_timeouts());
+    count("chaos.lock_retries", rost->lock_retries());
+    count("chaos.handshake_aborts", rost->handshake_aborts());
+    count("chaos.preempt_joins", rost->preempt_joins());
+  }
+  count("chaos.repairs_scheduled", stream.repairs_scheduled());
+  count("chaos.eln_sent", stream.eln_notifications_sent());
+  count("chaos.stripe_failovers", stream.stripe_failovers());
+  count("chaos.short_group_fallbacks", stream.short_group_fallbacks());
+  count("qoe.decode_stalls", stream.decode_stalls());
+  count("qoe.regime_transitions", stream.regime_transitions());
+  count("qoe.dependency_resyncs", stream.dependency_resyncs());
+  count("qoe.permanently_stalled", stream.permanently_stalled());
+  reg.SetGauge("qoe.degraded_time_fraction",
+               stream.degraded_fraction_stat().count() > 0
+                   ? stream.degraded_fraction_stat().mean()
+                   : 0.0);
+  reg.SetGauge("qoe.mean_recovery_to_cadence_s",
+               stream.recovery_latency_stat().count() > 0
+                   ? stream.recovery_latency_stat().mean()
+                   : 0.0);
+  count("reconnect.scheduled", session.reentries_scheduled());
+  count("reconnect.attached", session.reentries_attached());
+  count("reconnect.abandoned", session.reentries_abandoned());
+  count("reconnect.pending", session.reentries_pending());
   // Protocol-agnostic counter export: "rost.*" lock traffic or "clique.*"
   // election/recovery tallies, depending on the algorithm under test.
   session.protocol().ExportCounters(reg);

@@ -29,7 +29,6 @@
 #include <string>
 
 #include "exp/scenario.h"
-#include "metrics/chaos_counters.h"
 #include "overlay/heartbeat.h"
 #include "sim/fault_plane.h"
 #include "stream/packet_sim.h"
@@ -125,9 +124,8 @@ struct ChaosConfig {
 
 struct ChaosResult {
   // End-of-run registry snapshot, flattened (obs::Registry::Flatten()): the
-  // "chaos.*" control-plane counters (metrics::CollectChaosRegistry) plus
-  // the "qoe.*", "reconnect.*" and protocol counters. The runner writes it
-  // into its per-cell JSON.
+  // "chaos.*" control-plane counters plus the "qoe.*", "reconnect.*" and
+  // protocol counters. The runner writes it into its per-cell JSON.
   std::map<std::string, double> registry;
   // Per-disruption lifecycle stats (obs::IncidentLog::FlatStats): counts
   // and per-phase latency percentiles. Empty unless

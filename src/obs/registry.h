@@ -2,8 +2,8 @@
 //
 // One Registry instance belongs to one simulation run (a runner grid cell, a
 // chaos scenario); it is the single export path for protocol counters --
-// the chaos resilience counters (metrics/chaos_counters.h is now a thin shim
-// over it) and the per-protocol message-cost tallies behind Fig. 10 -- and
+// the chaos resilience counters (written by exp/chaos.cc) and the
+// per-protocol message-cost tallies behind Fig. 10 -- and
 // its Flatten()ed snapshot lands in the runner's versioned JSON results
 // (schema version 2, per-cell "registry" object).
 //

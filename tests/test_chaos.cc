@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 
 #include "core/rost/rost.h"
@@ -342,6 +343,55 @@ TEST(ChaosScenario, SameSeedReplaysBitIdentically) {
          "or an injection is not deterministic";
   const ChaosResult c = RunChaosScenario(topology, TinyChaosConfig(34));
   EXPECT_FALSE(SameResult(a, c)) << "the comparison is vacuous";
+}
+
+// The run exports exactly these resilience counters. Most tests read only a
+// few of them, so a counter dropped or renamed on the way into the registry
+// would otherwise go unnoticed.
+TEST(ChaosScenario, RegistryExportsEveryResilienceCounter) {
+  rnd::Rng topo_rng(1);
+  const net::Topology topology =
+      net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+  const ChaosResult r = RunChaosScenario(topology, TinyChaosConfig(21));
+  std::set<std::string> names;
+  for (const auto& [name, value] : r.registry)
+    if (name.starts_with("chaos.") || name.starts_with("qoe.") ||
+        name.starts_with("reconnect."))
+      names.insert(name);
+  const std::set<std::string> expected = {
+      "chaos.detections",
+      "chaos.eln_sent",
+      "chaos.false_suspicions",
+      "chaos.handshake_aborts",
+      "chaos.heartbeats_sent",
+      "chaos.leases_expired",
+      "chaos.leases_granted",
+      "chaos.leases_outstanding",
+      "chaos.leases_released",
+      "chaos.lock_retries",
+      "chaos.lock_timeouts",
+      "chaos.mean_detection_latency_s",
+      "chaos.messages_delivered",
+      "chaos.messages_dropped",
+      "chaos.messages_duplicated",
+      "chaos.messages_sent",
+      "chaos.preempt_joins",
+      "chaos.repairs_scheduled",
+      "chaos.short_group_fallbacks",
+      "chaos.stripe_failovers",
+      "chaos.wedged_leases",
+      "qoe.decode_stalls",
+      "qoe.degraded_time_fraction",
+      "qoe.dependency_resyncs",
+      "qoe.mean_recovery_to_cadence_s",
+      "qoe.permanently_stalled",
+      "qoe.regime_transitions",
+      "reconnect.abandoned",
+      "reconnect.attached",
+      "reconnect.pending",
+      "reconnect.scheduled",
+  };
+  EXPECT_EQ(names, expected);
 }
 
 // The PR's acceptance scenario: 500 members on the paper-scale topology,

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     return bench::TreeCellResult(
         exp::RunTreeScenario(env.Topo(), exp::Algorithm::kRost, config));
   };
-  const runner::ResultsSink sink = bench::RunGridBench(env, spec);
+  const auto [sink, status] = bench::RunGridBench(env, spec);
 
   bench::PrintMetricColumnsTable(
       spec, sink, /*col=*/0,
@@ -60,5 +60,5 @@ int main(int argc, char** argv) {
        {"reconnects/node", "reconnections", 3}},
       "switching-criterion ablation (" + std::to_string(env.focus_size) +
           " members)");
-  return 0;
+  return status;
 }

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     return RunOne(env.Topo(), algorithms[cell.row],
                   /*use_gossip=*/cell.col == 1, config);
   };
-  const runner::ResultsSink sink = bench::RunGridBench(env, spec);
+  const auto [sink, status] = bench::RunGridBench(env, spec);
 
   util::Table table({"algorithm", "discovery", "disruptions/node", "delay(ms)",
                      "reconnects/node"});
@@ -91,5 +91,5 @@ int main(int argc, char** argv) {
                   std::to_string(env.focus_size) + " members)");
   std::cout << "\nIf the rows match within noise, the uniform-sampling "
                "abstraction used by the\nfigure benches is sound.\n";
-  return 0;
+  return status;
 }

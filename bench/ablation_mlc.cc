@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     return bench::StreamCellResult(exp::RunStreamScenario(
         env.Topo(), exp::Algorithm::kMinDepth, config, sp));
   };
-  const runner::ResultsSink sink = bench::RunGridBench(env, spec);
+  const auto [sink, status] = bench::RunGridBench(env, spec);
 
   util::Table table(
       {"selection", "aggregation", "starving(%)", "avg repair rate"});
@@ -55,5 +55,5 @@ int main(int argc, char** argv) {
   table.Print(std::cout, "CER ablation, group size " + std::to_string(group) +
                              ", " + std::to_string(env.focus_size) +
                              " members, min-depth tree");
-  return 0;
+  return status;
 }

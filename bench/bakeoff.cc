@@ -43,11 +43,8 @@
 #include "exp/scenario.h"
 #include "net/topology.h"
 #include "obs/registry.h"
-#include "runner/results.h"
-#include "runner/runner.h"
 #include "runner/topology_cache.h"
 #include "util/flags.h"
-#include "util/table.h"
 
 namespace {
 
@@ -63,9 +60,7 @@ struct GridOptions {
   double warmup_s = 300.0;  // chaos rows
   double stream_s = 90.0;
   double drain_s = 90.0;
-  std::uint64_t seed = 1;
-  double timeseries_window_s = 5.0;  // recovery-curve sampling (0 = off)
-  std::string trace_dir;             // per-cell streaming trace JSONL
+  bench::Observability observability;
 };
 
 exp::Algorithm ColAlgorithm(std::size_t col) {
@@ -98,12 +93,8 @@ runner::CellResult RunChurnCell(const GridOptions& opt,
   c.warmup_s = opt.tree_warmup_s;
   c.measure_s = opt.tree_measure_s;
   c.seed = shared_seed;
-  obs::Registry reg;
-  c.registry = &reg;
-  c.timeseries_window_s = opt.timeseries_window_s;
-  c.incident_analysis = true;
-  bench::CellTraceStream trace(opt.trace_dir, cell);
-  c.tracer = trace.tracer();
+  bench::CellObservability observe(opt.observability, cell);
+  observe.Wire(&c);
   const exp::TreeScenarioResult r = exp::RunTreeScenario(topo, a, c);
 
   runner::CellResult out;
@@ -114,12 +105,10 @@ runner::CellResult RunChurnCell(const GridOptions& opt,
   out.metrics["stretch"] = r.avg_stretch;
   out.metrics["depth"] = r.avg_depth;
   out.metrics["population"] = r.avg_population;
-  out.metrics["control_overhead"] = ControlOverhead(reg, a);
+  out.metrics["control_overhead"] = ControlOverhead(observe.registry(), a);
   if (a == exp::Algorithm::kClique)
     out.metrics["clique_disruptions"] = r.avg_disruptions;
-  out.registry = reg.Flatten();
-  out.incidents = r.incidents;
-  bench::ExportTimeSeries(reg, &out);
+  observe.Export(r.incidents, &out);
   return out;
 }
 
@@ -175,13 +164,10 @@ runner::CellResult RunChaosCell(const GridOptions& opt,
       break;
   }
 
-  obs::Registry reg;
-  c.registry = &reg;
-  c.timeseries_window_s = opt.timeseries_window_s;
-  c.incident_analysis = true;
-  bench::CellTraceStream trace(opt.trace_dir, cell);
-  c.tracer = trace.tracer();
+  bench::CellObservability observe(opt.observability, cell);
+  observe.Wire(&c);
   const exp::ChaosResult r = exp::RunChaosScenario(topo, c);
+  const obs::Registry& reg = observe.registry();
 
   runner::CellResult out;
   out.metrics["starving_ratio"] = r.avg_starving_ratio;
@@ -201,9 +187,7 @@ runner::CellResult RunChaosCell(const GridOptions& opt,
     out.metrics["clique_backbone_reattaches"] =
         reg.CounterValue("clique.backbone_reattaches");
   }
-  out.registry = reg.Flatten();
-  out.incidents = r.incidents;
-  bench::ExportTimeSeries(reg, &out);
+  observe.Export(r.incidents, &out);
   return out;
 }
 
@@ -219,18 +203,11 @@ int main(int argc, char** argv) {
       .Define("warmup", "300", "chaos-row equilibration seconds")
       .Define("stream", "90", "packet-level stream seconds per chaos cell")
       .Define("drain", "90", "post-stream drain seconds")
-      .Define("reps", "2", "independent repetitions per cell")
-      .Define("seed", "1", "base RNG seed")
-      .Define("threads", "1", "worker threads (cells are independent)")
-      .Define("out", "", "directory for bakeoff.json (empty: none)")
-      .Define("resume", "false", "reuse matching cells from --out JSON")
-      .Define("progress", "true", "per-cell progress lines on stderr")
-      .Define("log-level", "warn", "debug | info | warn | error")
-      .Define("timeseries", "5", "recovery-curve sampling window s (0 = off)")
-      .Define("trace-stream", "",
-              "directory for per-cell streaming trace JSONL (empty: off)");
+      .Define("reps", "2", "independent repetitions per cell");
+  bench::DefineDriverFlags(flags, /*threads_default=*/"1");
+  bench::DefineObservabilityFlags(flags, /*profile=*/false);
   if (!flags.Parse(argc, argv)) return 1;
-  bench::ApplyLogLevelFlag(flags.GetString("log-level"));
+  const bench::Driver driver = bench::ReadDriverFlags(flags);
 
   GridOptions opt;
   opt.population = flags.GetInt("population");
@@ -240,17 +217,15 @@ int main(int argc, char** argv) {
   opt.warmup_s = flags.GetDouble("warmup");
   opt.stream_s = flags.GetDouble("stream");
   opt.drain_s = flags.GetDouble("drain");
-  opt.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
-  opt.timeseries_window_s = flags.GetDouble("timeseries");
-  opt.trace_dir = flags.GetString("trace-stream");
+  opt.observability = bench::ReadObservabilityFlags(flags, /*profile=*/false);
 
   std::cout << "=== bakeoff -- ROST/CER vs clustered overlay (clique) ===\n"
             << "chaos population: " << opt.population
             << "  churn sizes: " << opt.tree_population << "/"
-            << 2 * opt.tree_population << "  seed: " << opt.seed << "\n\n";
+            << 2 * opt.tree_population << "  seed: " << driver.seed << "\n\n";
 
   const net::Topology& topo = runner::SharedTopology(
-      net::SmallTopologyParams(), opt.seed ^ 0xde62adULL);
+      net::SmallTopologyParams(), driver.seed ^ 0xde62adULL);
 
   runner::GridSpec spec;
   spec.figure = "bakeoff";
@@ -263,44 +238,19 @@ int main(int argc, char** argv) {
                exp::AlgorithmLabel(exp::Algorithm::kClique)};
   spec.reps = flags.GetInt("reps");
   spec.headline_metric = "disruptions";
-  spec.run = [&opt, &topo, &spec](const runner::CellContext& cell) {
+  spec.run = [&opt, &topo, &spec, &driver](const runner::CellContext& cell) {
     // Paired comparison: both protocol columns of a (row, rep) run on one
     // seed (the column label is pinned out of the derivation), so they see
     // identical arrivals, lifetimes, and failure schedules.
     const std::uint64_t shared_seed = runner::CellSeed(
-        opt.seed, spec.figure, cell.row_label, "shared", cell.rep);
+        driver.seed, spec.figure, cell.row_label, "shared", cell.rep);
     return cell.row < kChurnRows ? RunChurnCell(opt, topo, cell, shared_seed)
                                  : RunChaosCell(opt, topo, cell, shared_seed);
   };
 
-  runner::RunnerOptions options;
-  options.threads = flags.GetInt("threads");
-  options.base_seed = opt.seed;
-  options.progress = flags.GetBool("progress");
-  const std::string out_dir = flags.GetString("out");
-  const std::filesystem::path out_path =
-      out_dir.empty() ? std::filesystem::path{}
-                      : std::filesystem::path(out_dir) / (spec.figure + ".json");
-  runner::Json resume_doc;
-  if (flags.GetBool("resume") && !out_dir.empty()) {
-    std::ifstream in(out_path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      std::string error;
-      resume_doc = runner::Json::Parse(buf.str(), &error);
-      if (resume_doc.is_object()) options.resume = &resume_doc;
-    }
-  }
-
-  runner::GridRunSummary summary = runner::RunGrid(spec, options);
-  runner::RunInfo info;
-  info.scale = "bakeoff";
-  info.git_sha = bench::GitSha();
-  info.base_seed = opt.seed;
-  info.warmup_s = opt.tree_warmup_s;
-  info.measure_s = opt.tree_measure_s;
-  const runner::ResultsSink sink(spec, info, std::move(summary));
+  // The manifest's phase lengths are the churn rows'.
+  const auto [sink, status] = bench::RunGridBench(
+      driver, spec, "bakeoff", opt.tree_warmup_s, opt.tree_measure_s);
 
   bench::PrintMetricTable(spec, sink, "disruptions", 3,
                           "disruptions per member (churn rows; Fig. 4)");
@@ -335,30 +285,5 @@ int main(int argc, char** argv) {
 
   // Health gate over the chaos rows, both protocols: a wedged lease, a
   // stranded orphan, or an unresolved re-entry fails the whole run.
-  bool healthy = true;
-  for (std::size_t row = kChurnRows; row < spec.rows.size(); ++row)
-    for (std::size_t col = 0; col < spec.cols.size(); ++col) {
-      if (sink.Stat(row, col, "wedged_leases").mean() != 0.0 ||
-          sink.Stat(row, col, "reentries_pending").mean() != 0.0 ||
-          sink.Stat(row, col, "unrooted_members").mean() != 0.0) {
-        std::cerr << "[bakeoff] unhealthy cell: " << spec.rows[row] << " / "
-                  << spec.cols[col] << "\n";
-        healthy = false;
-      }
-    }
-  if (!healthy) {
-    std::cerr << "[bakeoff] HEALTH GATE FAILED: wedged leases, stranded "
-                 "orphans, or unresolved re-entries\n";
-    return 1;
-  }
-
-  if (!out_dir.empty()) {
-    std::filesystem::create_directories(out_dir);
-    if (!sink.WriteJson(out_path.string())) {
-      std::cerr << "[bakeoff] FAILED to write " << out_path << "\n";
-      return 1;
-    }
-    std::cerr << "[bakeoff] wrote " << out_path << "\n";
-  }
-  return 0;
+  return bench::HealthGate(spec, sink, kChurnRows) ? status : 1;
 }

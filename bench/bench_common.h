@@ -1,36 +1,45 @@
-// Shared scaffolding for the figure-reproduction benches, built on the
-// src/runner experiment-orchestration engine.
+// The one harness every grid bench runs through, built on the src/runner
+// experiment-orchestration engine.
 //
 // Every bench declares its figure as a runner::GridSpec -- rows (x-axis
 // points) x columns (curves) x repetitions -- and hands it to
 // RunGridBench(), which executes the independent cells on a work-stealing
 // thread pool, shares one immutable topology across all of them, derives
 // each cell's seed from the cell identity (never `seed + rep`), aggregates
-// mean/stddev/95%-CI, and emits both the aligned text tables below and a
-// versioned JSON results file (see src/runner/results.h for the schema).
+// mean/stddev/95%-CI into the ResultsSink the table printers below read,
+// and writes it as a versioned JSON results file (see src/runner/results.h
+// for the schema).
 //
-// Common flags:
+// Driver flags, on every grid bench (DefineDriverFlags):
+//   --seed=N              base RNG seed (per-cell seeds are hashed from it).
+//   --threads=N           worker threads (0 = all hardware threads); absent
+//                         on scale_sweep, whose cells run one at a time.
+//   --out=DIR             write DIR/<figure>.json (empty: no JSON output).
+//   --resume=true         reuse matching cells from DIR/<figure>.json.
+//   --progress=true|false per-cell progress + ETA lines on stderr.
+//   --log-level=LEVEL     debug|info|warn|error (default warn).
+//
+// Figure flags, on the BenchEnv benches (DefineCommonFlags, which also
+// registers the driver flags):
 //   --scale=small|paper   both use the paper's 15,600-host GT-ITM topology;
 //                         small (default) sweeps steady-state sizes
 //                         {2000, 3500, 5000} so the whole suite runs in
 //                         minutes, paper sweeps the exact Section 5 sizes
 //                         {2000, 5000, 8000, 11000, 14000}.
-//   --seed=N              base RNG seed (per-cell seeds are hashed from it).
 //   --reps=N              independent repetitions per data point.
-//   --threads=N           worker threads (0 = all hardware threads).
 //   --sizes=a,b,c         override the steady-state size sweep.
-//   --out=DIR             write DIR/<figure>.json (empty: no JSON output).
-//   --resume=true         reuse matching cells from DIR/<figure>.json.
-//   --progress=true|false per-cell progress + ETA lines on stderr.
 //   --warmup=S --measure=S  override the phase lengths (seconds).
-//   --log-level=LEVEL     debug|info|warn|error (default warn).
-//   --profile=true        per-cell obs::SimProfiler, merged process-wide;
-//                         print with MaybePrintProfile(env) after the grids.
+//
+// Cell observability flags, on fig04_disruptions, bakeoff and
+// degraded_grid (DefineObservabilityFlags):
 //   --timeseries=S        recovery-curve sampling window in sim seconds
 //                         (0 disables); curves land in each cell's
 //                         schema-v3 "timeseries" block.
 //   --trace-stream=DIR    per-cell streaming trace JSONL under DIR
 //                         (obs::JsonlStreamSink; empty disables).
+//   --profile=true        fig04_disruptions only: per-cell
+//                         obs::SimProfiler, merged process-wide and printed
+//                         after the tables.
 #pragma once
 
 #include <cctype>
@@ -38,6 +47,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -59,17 +69,136 @@
 
 namespace omcast::bench {
 
-struct BenchEnv {
-  bool paper_scale = false;
+// ---------------------------------------------------------------------------
+// The driver: how a bench turns its flags into a grid run and a results file.
+// ---------------------------------------------------------------------------
+
+struct Driver {
   std::uint64_t seed = 1;
-  int reps = 1;
-  int threads = 0;
+  int threads = 1;  // a bench without --threads runs one cell at a time
   bool progress = true;
   bool resume = false;
-  bool profile = false;  // per-cell SimProfiler -> GlobalProfileAggregator()
-  double timeseries_window_s = 5.0;  // 0 disables recovery-curve sampling
-  std::string trace_dir;  // --trace-stream: per-cell JSONL directory
   std::string out_dir;
+};
+
+// Registers the driver flags on `flags`; --threads only when
+// `threads_default` is non-null.
+inline void DefineDriverFlags(util::FlagSet& flags,
+                              const char* threads_default) {
+  flags.Define("seed", "1", "base RNG seed")
+      .Define("out", "", "directory for <figure>.json results (empty: none)")
+      .Define("resume", "false", "reuse matching cells from --out JSON")
+      .Define("progress", "true", "per-cell progress/ETA lines on stderr")
+      .Define("log-level", "warn", "debug | info | warn | error");
+  if (threads_default != nullptr)
+    flags.Define("threads", threads_default,
+                 "worker threads (0 = hardware concurrency)");
+}
+
+// Reads the driver flags back from parsed `flags` and applies --log-level
+// (an unknown level keeps the current one and warns). `threads_flag` says
+// whether DefineDriverFlags registered --threads.
+inline Driver ReadDriverFlags(const util::FlagSet& flags,
+                              bool threads_flag = true) {
+  const std::string level = flags.GetString("log-level");
+  if (level == "debug") util::SetLogLevel(util::LogLevel::kDebug);
+  else if (level == "info") util::SetLogLevel(util::LogLevel::kInfo);
+  else if (level == "warn") util::SetLogLevel(util::LogLevel::kWarn);
+  else if (level == "error") util::SetLogLevel(util::LogLevel::kError);
+  else
+    std::cerr << "unknown --log-level '" << level
+              << "' (want debug|info|warn|error); keeping current level\n";
+  Driver driver;
+  driver.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
+  if (threads_flag) driver.threads = flags.GetInt("threads");
+  driver.progress = flags.GetBool("progress");
+  driver.resume = flags.GetBool("resume");
+  driver.out_dir = flags.GetString("out");
+  return driver;
+}
+
+// Git SHA for the run manifest; the sweep scripts export OMCAST_GIT_SHA.
+inline std::string GitSha() {
+  const char* sha = std::getenv("OMCAST_GIT_SHA");
+  return sha != nullptr && sha[0] != '\0' ? sha : "unknown";
+}
+
+// A finished grid: the results the tables read, and the exit status the
+// bench returns -- 1 when --out was set and the results file could not be
+// written.
+struct GridRun {
+  runner::ResultsSink sink;
+  int status = 0;
+};
+
+// Executes the grid on the runner and wraps the outcomes in a ResultsSink
+// whose manifest carries `scale`, `warmup_s` and `measure_s`. With --out,
+// writes DIR/<figure>.json before any table is printed (and, with --resume,
+// first reuses matching cells from a previous file at that path).
+inline GridRun RunGridBench(const Driver& driver, const runner::GridSpec& spec,
+                            const std::string& scale, double warmup_s,
+                            double measure_s) {
+  runner::RunnerOptions options;
+  options.threads = driver.threads;
+  options.base_seed = driver.seed;
+  options.progress = driver.progress;
+
+  const std::filesystem::path out_path =
+      driver.out_dir.empty()
+          ? std::filesystem::path{}
+          : std::filesystem::path(driver.out_dir) / (spec.figure + ".json");
+  runner::Json resume_doc;
+  if (driver.resume && !driver.out_dir.empty()) {
+    std::ifstream in(out_path);
+    if (in) {
+      std::ostringstream buf;
+      buf << in.rdbuf();
+      std::string error;
+      resume_doc = runner::Json::Parse(buf.str(), &error);
+      if (resume_doc.is_object()) {
+        options.resume = &resume_doc;
+      } else {
+        std::cerr << "[" << spec.figure << "] ignoring unreadable resume file "
+                  << out_path << ": " << error << "\n";
+      }
+    }
+  }
+
+  runner::GridRunSummary summary = runner::RunGrid(spec, options);
+  runner::RunInfo info;
+  info.scale = scale;
+  info.git_sha = GitSha();
+  info.base_seed = driver.seed;
+  info.warmup_s = warmup_s;
+  info.measure_s = measure_s;
+  GridRun run{runner::ResultsSink(spec, info, std::move(summary)), 0};
+
+  if (!driver.out_dir.empty()) {
+    std::filesystem::create_directories(driver.out_dir);
+    if (!run.sink.WriteJson(out_path.string())) {
+      std::cerr << "[" << spec.figure << "] FAILED to write " << out_path
+                << "\n";
+      run.status = 1;
+    } else {
+      std::cerr << "[" << spec.figure << "] wrote " << out_path << " ("
+                << run.sink.summary().executed << " cells run, "
+                << run.sink.summary().resumed << " resumed, "
+                << run.sink.summary().threads << " threads, "
+                << util::FormatDouble(run.sink.summary().wall_ms / 1000.0, 1)
+                << "s)\n";
+    }
+  }
+  return run;
+}
+
+// ---------------------------------------------------------------------------
+// The figure benches' environment: scale, sizes, phases and topology.
+// ---------------------------------------------------------------------------
+
+struct BenchEnv {
+  Driver driver;
+  bool paper_scale = false;
+  int reps = 1;
   double warmup_s = 0.0;
   double measure_s = 0.0;
   // The steady-state sizes of the tree-size sweep (Figs. 4, 7, 8 and 10,
@@ -89,74 +218,37 @@ struct BenchEnv {
     exp::ScenarioConfig c;
     c.warmup_s = warmup_s;
     c.measure_s = measure_s;
-    c.seed = seed;  // overwritten per cell with the derived cell seed
-    // At small scale the source capacity and the gossip-view size shrink
-    // with the population, keeping their ratios to the network size near
-    // the paper's values -- otherwise a 100-slot root swallows half of a
-    // 500-member overlay and every algorithm looks identical. The root
-    // keeps >= 40 slots because tree growth is a branching process with
-    // ~0.9 per-lineage extinction probability (55.5% free-riders): the
-    // source must seed enough independent lineages to survive.
+    c.seed = driver.seed;  // overwritten per cell with the derived cell seed
     return c;
   }
 };
 
-// Registers the common flags on `flags`.
+// Registers the driver flags (--threads defaults to all hardware threads)
+// and the figure flags on `flags`.
 inline void DefineCommonFlags(util::FlagSet& flags) {
+  DefineDriverFlags(flags, /*threads_default=*/"0");
   flags.Define("scale", "small", "small | paper (Section 5 sizes)")
-      .Define("seed", "1", "base RNG seed")
       .Define("reps", "3", "independent repetitions averaged per point")
-      .Define("threads", "0", "worker threads (0 = hardware concurrency)")
       .Define("sizes", "", "override size sweep, e.g. 500,1000 (empty: scale default)")
-      .Define("out", "", "directory for <figure>.json results (empty: none)")
-      .Define("resume", "false", "reuse matching cells from --out JSON")
-      .Define("progress", "true", "per-cell progress/ETA lines on stderr")
       .Define("warmup", "-1", "warm-up seconds (-1: scale default)")
-      .Define("measure", "-1", "measurement seconds (-1: scale default)")
-      .Define("log-level", "warn", "debug | info | warn | error")
-      .Define("profile", "false",
-              "profile simulator dispatch (per-tag counts/wall-time)")
-      .Define("timeseries", "5",
-              "recovery-curve sampling window seconds (0 = off)")
-      .Define("trace-stream", "",
-              "directory for per-cell streaming trace JSONL (empty: off)");
-}
-
-// Maps a --log-level value onto util::SetLogLevel; unknown names keep the
-// current level and warn.
-inline void ApplyLogLevelFlag(const std::string& name) {
-  if (name == "debug") util::SetLogLevel(util::LogLevel::kDebug);
-  else if (name == "info") util::SetLogLevel(util::LogLevel::kInfo);
-  else if (name == "warn") util::SetLogLevel(util::LogLevel::kWarn);
-  else if (name == "error") util::SetLogLevel(util::LogLevel::kError);
-  else
-    std::cerr << "unknown --log-level '" << name
-              << "' (want debug|info|warn|error); keeping current level\n";
+      .Define("measure", "-1", "measurement seconds (-1: scale default)");
 }
 
 // Builds the environment from parsed flags; the topology comes from the
 // process-wide cache so repeated grids in one process share one instance.
 inline BenchEnv MakeEnv(const util::FlagSet& flags) {
   BenchEnv env;
+  env.driver = ReadDriverFlags(flags);
   env.paper_scale = flags.GetString("scale") == "paper";
-  env.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
   env.reps = flags.GetInt("reps");
-  env.threads = flags.GetInt("threads");
-  env.progress = flags.GetBool("progress");
-  env.resume = flags.GetBool("resume");
-  env.profile = flags.GetBool("profile");
-  env.timeseries_window_s = flags.GetDouble("timeseries");
-  env.trace_dir = flags.GetString("trace-stream");
-  env.out_dir = flags.GetString("out");
-  ApplyLogLevelFlag(flags.GetString("log-level"));
   env.warmup_s = env.paper_scale ? 7200.0 : 5400.0;
   env.measure_s = 3600.0;
   env.sizes = env.paper_scale ? std::vector<int>{2000, 5000, 8000, 11000, 14000}
                               : std::vector<int>{2000, 3500, 5000};
   if (!flags.GetString("sizes").empty()) env.sizes = flags.GetIntList("sizes");
   env.focus_size = env.paper_scale ? 8000 : 2000;
-  env.topology =
-      &runner::SharedTopology(net::PaperTopologyParams(), env.seed ^ 0x70706fULL);
+  env.topology = &runner::SharedTopology(net::PaperTopologyParams(),
+                                         env.driver.seed ^ 0x70706fULL);
   if (flags.GetDouble("warmup") >= 0.0) env.warmup_s = flags.GetDouble("warmup");
   if (flags.GetDouble("measure") >= 0.0)
     env.measure_s = flags.GetDouble("measure");
@@ -168,75 +260,49 @@ inline void PrintHeader(const std::string& figure, const BenchEnv& env) {
             << "scale: " << env.ScaleLabel()
             << "  topology: " << env.Topo().num_stub_nodes()
             << " hosts  warmup: " << env.warmup_s
-            << "s  measure: " << env.measure_s << "s  seed: " << env.seed
+            << "s  measure: " << env.measure_s << "s  seed: " << env.driver.seed
             << "  reps: " << env.reps << "\n\n";
 }
 
-// Git SHA for the run manifest; the sweep scripts export OMCAST_GIT_SHA.
-inline std::string GitSha() {
-  const char* sha = std::getenv("OMCAST_GIT_SHA");
-  return sha != nullptr && sha[0] != '\0' ? sha : "unknown";
-}
-
-// Executes the grid on the runner and wraps the outcomes in a ResultsSink.
-// When --out is set, writes DIR/<figure>.json (and, with --resume, reuses
-// matching cells from a previous file at that path first).
-inline runner::ResultsSink RunGridBench(const BenchEnv& env,
-                                        const runner::GridSpec& spec) {
-  runner::RunnerOptions options;
-  options.threads = env.threads;
-  options.base_seed = env.seed;
-  options.progress = env.progress;
-
-  const std::filesystem::path out_path =
-      env.out_dir.empty()
-          ? std::filesystem::path{}
-          : std::filesystem::path(env.out_dir) / (spec.figure + ".json");
-  runner::Json resume_doc;
-  if (env.resume && !env.out_dir.empty()) {
-    std::ifstream in(out_path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      std::string error;
-      resume_doc = runner::Json::Parse(buf.str(), &error);
-      if (resume_doc.is_object()) {
-        options.resume = &resume_doc;
-      } else {
-        std::cerr << "[" << spec.figure << "] ignoring unreadable resume file "
-                  << out_path << ": " << error << "\n";
-      }
-    }
-  }
-
-  runner::GridRunSummary summary = runner::RunGrid(spec, options);
-  runner::RunInfo info;
-  info.scale = env.ScaleLabel();
-  info.git_sha = GitSha();
-  info.base_seed = env.seed;
-  info.warmup_s = env.warmup_s;
-  info.measure_s = env.measure_s;
-  runner::ResultsSink sink(spec, info, std::move(summary));
-
-  if (!env.out_dir.empty()) {
-    std::filesystem::create_directories(env.out_dir);
-    if (!sink.WriteJson(out_path.string()))
-      std::cerr << "[" << spec.figure << "] FAILED to write " << out_path
-                << "\n";
-    else
-      std::cerr << "[" << spec.figure << "] wrote " << out_path << " ("
-                << sink.summary().executed << " cells run, "
-                << sink.summary().resumed << " resumed, "
-                << sink.summary().threads << " threads, "
-                << util::FormatDouble(sink.summary().wall_ms / 1000.0, 1)
-                << "s)\n";
-  }
-  return sink;
+inline GridRun RunGridBench(const BenchEnv& env, const runner::GridSpec& spec) {
+  return RunGridBench(env.driver, spec, env.ScaleLabel(), env.warmup_s,
+                      env.measure_s);
 }
 
 // ---------------------------------------------------------------------------
-// Observability adapters: schema-v3 timeseries export and streaming traces.
+// Per-cell observability: registry, recovery curves, incidents, streaming
+// traces and the dispatch profile.
 // ---------------------------------------------------------------------------
+
+// The values of the cell observability flags.
+struct Observability {
+  double timeseries_window_s = 5.0;  // 0 disables recovery-curve sampling
+  std::string trace_dir;             // empty: no streaming trace
+  bool profile = false;
+};
+
+// Registers --timeseries and --trace-stream on `flags`, and --profile when
+// `profile` is set.
+inline void DefineObservabilityFlags(util::FlagSet& flags, bool profile) {
+  flags.Define("timeseries", "5",
+               "recovery-curve sampling window seconds (0 = off)")
+      .Define("trace-stream", "",
+              "directory for per-cell streaming trace JSONL (empty: off)");
+  if (profile)
+    flags.Define("profile", "false",
+                 "profile simulator dispatch (per-tag counts/wall-time)");
+}
+
+// Reads them back from parsed `flags`; `profile` as given to
+// DefineObservabilityFlags.
+inline Observability ReadObservabilityFlags(const util::FlagSet& flags,
+                                            bool profile) {
+  Observability o;
+  o.timeseries_window_s = flags.GetDouble("timeseries");
+  o.trace_dir = flags.GetString("trace-stream");
+  o.profile = profile && flags.GetBool("profile");
+  return o;
+}
 
 // Copies every obs::TimeSeries registered in `reg` into the cell's
 // schema-v3 "timeseries" block (dense points, window width, flavor).
@@ -258,7 +324,7 @@ inline void ExportTimeSeries(const obs::Registry& reg,
 // bounded-ring tracer with a JsonlStreamSink writing the cell's FULL event
 // history to DIR/<figure>.<row>.<col>.rep<N>.trace.jsonl -- the sink sees
 // every emission before ring eviction, so nothing is lost on long runs.
-// Pass tracer() (null when streaming is off) into the scenario config.
+// tracer() is null when streaming is off.
 class CellTraceStream {
  public:
   CellTraceStream(const std::string& dir, const runner::CellContext& cell) {
@@ -302,8 +368,61 @@ class CellTraceStream {
   std::optional<obs::JsonlStreamSink> sink_;
 };
 
+// One cell's observability. Wire() points the five observability fields of
+// an exp::ScenarioConfig or exp::ChaosConfig (the two name them alike) at
+// this cell's registry, --trace-stream tracer and --profile profiler, sets
+// the --timeseries window and turns incident analysis on. After the run,
+// Export() copies the registry, the incidents and the recovery curves into
+// the cell's results (schema v3) and merges the profile process-wide: it is
+// wall clock, so it never enters results or digests.
+class CellObservability {
+ public:
+  CellObservability(const Observability& options,
+                    const runner::CellContext& cell)
+      : options_(options), trace_(options.trace_dir, cell) {
+    if (options.profile) profiler_.emplace();
+  }
+
+  template <typename Config>
+  void Wire(Config* config) {
+    config->tracer = trace_.tracer();
+    config->registry = &registry_;
+    config->profiler = profiler_ ? &*profiler_ : nullptr;
+    config->timeseries_window_s = options_.timeseries_window_s;
+    config->incident_analysis = true;
+  }
+
+  const obs::Registry& registry() const { return registry_; }
+
+  void Export(const std::map<std::string, double>& incidents,
+              runner::CellResult* out) const {
+    out->registry = registry_.Flatten();
+    out->incidents = incidents;
+    ExportTimeSeries(registry_, out);
+    if (profiler_) obs::GlobalProfileAggregator().Merge(*profiler_);
+  }
+
+ private:
+  const Observability& options_;
+  obs::Registry registry_;
+  CellTraceStream trace_;
+  std::optional<obs::SimProfiler> profiler_;
+};
+
+// Prints the merged dispatch profile once, after the grids, when --profile
+// was given.
+inline void MaybePrintProfile(const Observability& observability) {
+  if (!observability.profile) return;
+  const obs::ProfileAggregator& agg = obs::GlobalProfileAggregator();
+  if (agg.events() == 0) {
+    std::cout << "\n(profile: no simulator events recorded)\n";
+    return;
+  }
+  std::cout << "\n" << agg.FormatTable();
+}
+
 // ---------------------------------------------------------------------------
-// Cell-result adapters for the three scenario runners.
+// Cell-result adapters for the scenario runners.
 // ---------------------------------------------------------------------------
 
 inline runner::CellResult TreeCellResult(const exp::TreeScenarioResult& r,
@@ -334,21 +453,50 @@ inline runner::CellResult StreamCellResult(const exp::StreamScenarioResult& r) {
   return out;
 }
 
-// Prints the merged dispatch profile once, after the grids, when --profile
-// was given.
-inline void MaybePrintProfile(const BenchEnv& env) {
-  if (!env.profile) return;
-  const obs::ProfileAggregator& agg = obs::GlobalProfileAggregator();
-  if (agg.events() == 0) {
-    std::cout << "\n(profile: no simulator events recorded)\n";
-    return;
-  }
-  std::cout << "\n" << agg.FormatTable();
+// The chaos health gate over rows first_row.. of the grid: every cell must
+// end with no wedged lease, no unresolved re-entry and no stranded orphan.
+// Names each unhealthy cell on stderr; false when any was.
+inline bool HealthGate(const runner::GridSpec& spec,
+                       const runner::ResultsSink& sink,
+                       std::size_t first_row = 0) {
+  bool healthy = true;
+  for (std::size_t row = first_row; row < spec.rows.size(); ++row)
+    for (std::size_t col = 0; col < spec.cols.size(); ++col)
+      for (const char* metric :
+           {"wedged_leases", "reentries_pending", "unrooted_members"})
+        if (sink.Stat(row, col, metric).mean() != 0.0) {
+          std::cerr << "[" << spec.figure << "] unhealthy cell: "
+                    << spec.rows[row] << " / " << spec.cols[col] << " ("
+                    << metric << ")\n";
+          healthy = false;
+        }
+  if (!healthy)
+    std::cerr << "[" << spec.figure
+              << "] HEALTH GATE FAILED: wedged leases, stranded orphans, or "
+                 "unresolved re-entries\n";
+  return healthy;
 }
 
 // ---------------------------------------------------------------------------
 // Table renderers over the aggregated results.
 // ---------------------------------------------------------------------------
+
+// The rows x cols table of the grid, its (row, col) entry given by
+// `entry(row, col)`.
+template <typename Entry>
+void PrintGridTable(const runner::GridSpec& spec, const std::string& title,
+                    const Entry& entry) {
+  std::vector<std::string> header = {spec.row_header};
+  header.insert(header.end(), spec.cols.begin(), spec.cols.end());
+  util::Table table(std::move(header));
+  for (std::size_t row = 0; row < spec.rows.size(); ++row) {
+    std::vector<std::string> cells = {spec.rows[row]};
+    for (std::size_t col = 0; col < spec.cols.size(); ++col)
+      cells.push_back(entry(row, col));
+    table.AddRow(std::move(cells));
+  }
+  table.Print(std::cout, title);
+}
 
 // rows x cols of one metric's mean (scaled, e.g. 100.0 turns a ratio into
 // a percentage). `with_ci` appends the 95% half-width as "m +-c".
@@ -357,22 +505,14 @@ inline void PrintMetricTable(const runner::GridSpec& spec,
                              const std::string& metric, int precision,
                              const std::string& title, double scale = 1.0,
                              bool with_ci = false) {
-  std::vector<std::string> header = {spec.row_header};
-  header.insert(header.end(), spec.cols.begin(), spec.cols.end());
-  util::Table table(std::move(header));
-  for (std::size_t row = 0; row < spec.rows.size(); ++row) {
-    std::vector<std::string> cells = {spec.rows[row]};
-    for (std::size_t col = 0; col < spec.cols.size(); ++col) {
-      const util::RunningStat stat = sink.Stat(row, col, metric);
-      std::string cell = util::FormatDouble(scale * stat.mean(), precision);
-      if (with_ci)
-        cell += " +-" +
-                util::FormatDouble(scale * stat.ci95_half_width(), precision);
-      cells.push_back(std::move(cell));
-    }
-    table.AddRow(std::move(cells));
-  }
-  table.Print(std::cout, title);
+  PrintGridTable(spec, title, [&](std::size_t row, std::size_t col) {
+    const util::RunningStat stat = sink.Stat(row, col, metric);
+    std::string cell = util::FormatDouble(scale * stat.mean(), precision);
+    if (with_ci)
+      cell += " +-" +
+              util::FormatDouble(scale * stat.ci95_half_width(), precision);
+    return cell;
+  });
 }
 
 struct MetricColumn {
@@ -400,24 +540,13 @@ inline double IncidentStat(const runner::GridSpec& spec,
 inline void PrintIncidentBreakdownTable(const runner::GridSpec& spec,
                                         const runner::ResultsSink& sink,
                                         const std::string& title) {
-  std::vector<std::string> header = {spec.row_header};
-  header.insert(header.end(), spec.cols.begin(), spec.cols.end());
-  util::Table table(std::move(header));
-  for (std::size_t row = 0; row < spec.rows.size(); ++row) {
-    std::vector<std::string> cells = {spec.rows[row]};
-    for (std::size_t col = 0; col < spec.cols.size(); ++col)
-      cells.push_back(
-          util::FormatDouble(IncidentStat(spec, sink, row, col,
-                                          "incident.count"), 1) +
-          "/" +
-          util::FormatDouble(IncidentStat(spec, sink, row, col,
-                                          "incident.reattached"), 1) +
-          "/" +
-          util::FormatDouble(IncidentStat(spec, sink, row, col,
-                                          "incident.recovered"), 1));
-    table.AddRow(std::move(cells));
-  }
-  table.Print(std::cout, title);
+  PrintGridTable(spec, title, [&](std::size_t row, std::size_t col) {
+    const auto count = [&](const std::string& key) {
+      return util::FormatDouble(IncidentStat(spec, sink, row, col, key), 1);
+    };
+    return count("incident.count") + "/" + count("incident.reattached") +
+           "/" + count("incident.recovered");
+  });
 }
 
 // rows x cols of one incident phase's latency: "p50/p99" in seconds (mean
@@ -427,26 +556,15 @@ inline void PrintIncidentPhaseTable(const runner::GridSpec& spec,
                                     const std::string& phase,
                                     const std::string& title) {
   const std::string base = "incident.phase." + phase;
-  std::vector<std::string> header = {spec.row_header};
-  header.insert(header.end(), spec.cols.begin(), spec.cols.end());
-  util::Table table(std::move(header));
-  for (std::size_t row = 0; row < spec.rows.size(); ++row) {
-    std::vector<std::string> cells = {spec.rows[row]};
-    for (std::size_t col = 0; col < spec.cols.size(); ++col) {
-      if (IncidentStat(spec, sink, row, col, base + ".count") <= 0.0) {
-        cells.emplace_back("-");
-        continue;
-      }
-      cells.push_back(
-          util::FormatDouble(
-              IncidentStat(spec, sink, row, col, base + ".p50_s"), 2) +
-          "/" +
-          util::FormatDouble(
-              IncidentStat(spec, sink, row, col, base + ".p99_s"), 2));
-    }
-    table.AddRow(std::move(cells));
-  }
-  table.Print(std::cout, title);
+  PrintGridTable(spec, title,
+                 [&](std::size_t row, std::size_t col) -> std::string {
+                   const auto stat = [&](const std::string& key) {
+                     return IncidentStat(spec, sink, row, col, base + key);
+                   };
+                   if (stat(".count") <= 0.0) return "-";
+                   return util::FormatDouble(stat(".p50_s"), 2) + "/" +
+                          util::FormatDouble(stat(".p99_s"), 2);
+                 });
 }
 
 // rows x cols summary of one recovery curve from the cells' timeseries
@@ -459,49 +577,39 @@ inline void PrintRecoveryCurveTable(const runner::GridSpec& spec,
                                     const std::string& series,
                                     const std::string& title,
                                     int precision = 1) {
-  std::vector<std::string> header = {spec.row_header};
-  header.insert(header.end(), spec.cols.begin(), spec.cols.end());
-  util::Table table(std::move(header));
-  for (std::size_t row = 0; row < spec.rows.size(); ++row) {
-    std::vector<std::string> cells = {spec.rows[row]};
-    for (std::size_t col = 0; col < spec.cols.size(); ++col) {
-      util::RunningStat peak_stat;
-      util::RunningStat drain_stat;
-      for (int rep = 0; rep < spec.reps; ++rep) {
-        const auto& ts = sink.Cell(row, col, rep).result.timeseries;
-        const auto it = ts.find(series);
-        if (it == ts.end() || it->second.points.empty()) continue;
-        double peak = 0.0;
-        double peak_t = 0.0;
-        for (const auto& [t, v] : it->second.points)
-          if (v > peak) {
-            peak = v;
-            peak_t = t;
-          }
-        peak_stat.Add(peak);
-        if (peak <= 0.0) {
-          drain_stat.Add(0.0);  // never rose: drained from the start
-          continue;
+  PrintGridTable(spec, title, [&](std::size_t row,
+                                  std::size_t col) -> std::string {
+    util::RunningStat peak_stat;
+    util::RunningStat drain_stat;
+    for (int rep = 0; rep < spec.reps; ++rep) {
+      const auto& ts = sink.Cell(row, col, rep).result.timeseries;
+      const auto it = ts.find(series);
+      if (it == ts.end() || it->second.points.empty()) continue;
+      double peak = 0.0;
+      double peak_t = 0.0;
+      for (const auto& [t, v] : it->second.points)
+        if (v > peak) {
+          peak = v;
+          peak_t = t;
         }
-        for (const auto& [t, v] : it->second.points)
-          if (t > peak_t && v == 0.0) {
-            drain_stat.Add(t - peak_t);
-            break;
-          }
-      }
-      if (peak_stat.count() == 0) {
-        cells.emplace_back("-");
+      peak_stat.Add(peak);
+      if (peak <= 0.0) {
+        drain_stat.Add(0.0);  // never rose: drained from the start
         continue;
       }
-      std::string cell = util::FormatDouble(peak_stat.mean(), precision);
-      cell += drain_stat.count() > 0
-                  ? " / " + util::FormatDouble(drain_stat.mean(), 0) + "s"
-                  : " / -";
-      cells.push_back(std::move(cell));
+      for (const auto& [t, v] : it->second.points)
+        if (t > peak_t && v == 0.0) {
+          drain_stat.Add(t - peak_t);
+          break;
+        }
     }
-    table.AddRow(std::move(cells));
-  }
-  table.Print(std::cout, title);
+    if (peak_stat.count() == 0) return "-";
+    std::string cell = util::FormatDouble(peak_stat.mean(), precision);
+    cell += drain_stat.count() > 0
+                ? " / " + util::FormatDouble(drain_stat.mean(), 0) + "s"
+                : " / -";
+    return cell;
+  });
 }
 
 // For single-curve grids (Fig. 11, the ablations): rows x chosen metrics

@@ -16,8 +16,9 @@
 // headline metric is qoe degraded_time_fraction: the mean fraction of
 // viewing time members spent outside nominal playback cadence. The grid
 // also records recovery-to-cadence latency, decode stalls, dependency
-// resyncs, permanently stalled sessions, re-entry resolution (pending must
-// be zero), wedged leases (must be zero) and unrooted members.
+// resyncs, permanently stalled sessions, re-entry resolution, wedged leases
+// and unrooted members; the run exits nonzero unless the last three are
+// zero in every cell.
 //
 //   ./bench/degraded_grid [--population=150] [--stream=90] [--out=results]
 #include <cstdint>
@@ -28,12 +29,8 @@
 #include "bench_common.h"
 #include "exp/chaos.h"
 #include "net/topology.h"
-#include "obs/registry.h"
-#include "runner/results.h"
-#include "runner/runner.h"
 #include "runner/topology_cache.h"
 #include "util/flags.h"
-#include "util/table.h"
 
 namespace {
 
@@ -46,9 +43,7 @@ struct GridOptions {
   double warmup_s = 300.0;
   double stream_s = 90.0;
   double drain_s = 90.0;
-  std::uint64_t seed = 1;
-  double timeseries_window_s = 5.0;  // recovery-curve sampling (0 = off)
-  std::string trace_dir;             // per-cell streaming trace JSONL
+  bench::Observability observability;
 };
 
 runner::CellResult RunCell(const GridOptions& opt, const net::Topology& topo,
@@ -86,12 +81,8 @@ runner::CellResult RunCell(const GridOptions& opt, const net::Topology& topo,
       break;
   }
 
-  obs::Registry reg;
-  c.registry = &reg;
-  c.timeseries_window_s = opt.timeseries_window_s;
-  c.incident_analysis = true;
-  bench::CellTraceStream trace(opt.trace_dir, cell);
-  c.tracer = trace.tracer();
+  bench::CellObservability observe(opt.observability, cell);
+  observe.Wire(&c);
   const exp::ChaosResult r = exp::RunChaosScenario(topo, c);
 
   runner::CellResult out;
@@ -116,9 +107,7 @@ runner::CellResult RunCell(const GridOptions& opt, const net::Topology& topo,
   out.metrics["wedged_leases"] = r.registry.at("chaos.wedged_leases");
   out.metrics["unrooted_members"] = static_cast<double>(r.unrooted_members);
   out.metrics["final_population"] = static_cast<double>(r.final_population);
-  out.registry = reg.Flatten();
-  out.incidents = r.incidents;
-  bench::ExportTimeSeries(reg, &out);
+  observe.Export(r.incidents, &out);
   return out;
 }
 
@@ -130,35 +119,26 @@ int main(int argc, char** argv) {
   flags.Define("population", "150", "steady-state member count")
       .Define("warmup", "300", "equilibration seconds before the stream")
       .Define("stream", "90", "packet-level stream seconds per cell")
-      .Define("drain", "90", "post-stream drain seconds")
-      .Define("seed", "1", "base RNG seed")
-      .Define("threads", "1", "worker threads (cells are independent)")
-      .Define("out", "", "directory for degraded_grid.json (empty: none)")
-      .Define("resume", "false", "reuse matching cells from --out JSON")
-      .Define("progress", "true", "per-cell progress lines on stderr")
-      .Define("log-level", "warn", "debug | info | warn | error")
-      .Define("timeseries", "5", "recovery-curve sampling window s (0 = off)")
-      .Define("trace-stream", "",
-              "directory for per-cell streaming trace JSONL (empty: off)");
+      .Define("drain", "90", "post-stream drain seconds");
+  bench::DefineDriverFlags(flags, /*threads_default=*/"1");
+  bench::DefineObservabilityFlags(flags, /*profile=*/false);
   if (!flags.Parse(argc, argv)) return 1;
-  bench::ApplyLogLevelFlag(flags.GetString("log-level"));
+  const bench::Driver driver = bench::ReadDriverFlags(flags);
 
   GridOptions opt;
   opt.population = flags.GetInt("population");
   opt.warmup_s = flags.GetDouble("warmup");
   opt.stream_s = flags.GetDouble("stream");
   opt.drain_s = flags.GetDouble("drain");
-  opt.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
-  opt.timeseries_window_s = flags.GetDouble("timeseries");
-  opt.trace_dir = flags.GetString("trace-stream");
+  opt.observability = bench::ReadObservabilityFlags(flags, /*profile=*/false);
 
   std::cout << "=== degraded_grid -- QoE under degraded-regime scenarios ===\n"
             << "population: " << opt.population << "  stream: " << opt.stream_s
-            << "s  warmup: " << opt.warmup_s << "s  seed: " << opt.seed
+            << "s  warmup: " << opt.warmup_s << "s  seed: " << driver.seed
             << "\n\n";
 
   const net::Topology& topo = runner::SharedTopology(
-      net::SmallTopologyParams(), opt.seed ^ 0xde62adULL);
+      net::SmallTopologyParams(), driver.seed ^ 0xde62adULL);
 
   runner::GridSpec spec;
   spec.figure = "degraded_grid";
@@ -172,34 +152,9 @@ int main(int argc, char** argv) {
     return RunCell(opt, topo, cell);
   };
 
-  runner::RunnerOptions options;
-  options.threads = flags.GetInt("threads");
-  options.base_seed = opt.seed;
-  options.progress = flags.GetBool("progress");
-  const std::string out_dir = flags.GetString("out");
-  const std::filesystem::path out_path =
-      out_dir.empty() ? std::filesystem::path{}
-                      : std::filesystem::path(out_dir) / (spec.figure + ".json");
-  runner::Json resume_doc;
-  if (flags.GetBool("resume") && !out_dir.empty()) {
-    std::ifstream in(out_path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      std::string error;
-      resume_doc = runner::Json::Parse(buf.str(), &error);
-      if (resume_doc.is_object()) options.resume = &resume_doc;
-    }
-  }
-
-  runner::GridRunSummary summary = runner::RunGrid(spec, options);
-  runner::RunInfo info;
-  info.scale = "degraded_grid";
-  info.git_sha = bench::GitSha();
-  info.base_seed = opt.seed;
-  info.warmup_s = opt.warmup_s;
-  info.measure_s = opt.stream_s;
-  const runner::ResultsSink sink(spec, info, std::move(summary));
+  // The manifest's phase lengths are the warm-up and the stream.
+  const auto [sink, status] = bench::RunGridBench(
+      driver, spec, "degraded_grid", opt.warmup_s, opt.stream_s);
 
   bench::PrintMetricTable(spec, sink, "degraded_time_fraction", 4,
                           "degraded-session time fraction (headline)");
@@ -223,29 +178,8 @@ int main(int argc, char** argv) {
   bench::PrintIncidentPhaseTable(spec, sink, "recover",
                                  "stream-recovery latency p50/p99 (s)");
 
-  // Health gate: the grid run itself fails if any cell wedged a lease or
-  // left a re-entry unresolved, so CI smoke catches regressions without
-  // parsing tables.
-  bool healthy = true;
-  for (std::size_t row = 0; row < spec.rows.size(); ++row)
-    for (std::size_t col = 0; col < spec.cols.size(); ++col) {
-      if (sink.Stat(row, col, "wedged_leases").mean() != 0.0 ||
-          sink.Stat(row, col, "reentries_pending").mean() != 0.0)
-        healthy = false;
-    }
-  if (!healthy) {
-    std::cerr << "[degraded_grid] HEALTH GATE FAILED: wedged leases or "
-                 "unresolved re-entries\n";
-    return 1;
-  }
-
-  if (!out_dir.empty()) {
-    std::filesystem::create_directories(out_dir);
-    if (!sink.WriteJson(out_path.string())) {
-      std::cerr << "[degraded_grid] FAILED to write " << out_path << "\n";
-      return 1;
-    }
-    std::cerr << "[degraded_grid] wrote " << out_path << "\n";
-  }
-  return 0;
+  // Health gate: the grid run itself fails if any cell wedged a lease, left
+  // a re-entry unresolved or stranded an orphan, so CI smoke catches
+  // regressions without parsing tables.
+  return bench::HealthGate(spec, sink) ? status : 1;
 }

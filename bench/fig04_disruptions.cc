@@ -29,8 +29,9 @@ namespace {
 
 using namespace omcast;
 
-// `env` must outlive the spec.
-runner::GridSpec TreeSizeSweepSpec(const bench::BenchEnv& env) {
+// `env` and `observability` must outlive the spec.
+runner::GridSpec TreeSizeSweepSpec(const bench::BenchEnv& env,
+                                   const bench::Observability& observability) {
   runner::GridSpec spec;
   spec.figure = "fig04_disruptions";
   spec.title = "avg streaming disruptions per node";
@@ -40,29 +41,16 @@ runner::GridSpec TreeSizeSweepSpec(const bench::BenchEnv& env) {
     spec.cols.push_back(exp::AlgorithmLabel(a));
   spec.reps = env.reps;
   spec.headline_metric = "disruptions";
-  spec.run = [&env](const runner::CellContext& cell) {
+  spec.run = [&env, &observability](const runner::CellContext& cell) {
     exp::ScenarioConfig config = env.BaseConfig();
     config.population = env.sizes[cell.row];
     config.seed = cell.seed;
-    // Per-cell observability: the registry snapshot, recovery curves, and
-    // incident breakdown ride along in the results JSON (schema v3); the
-    // profiler -- wall clock, so never part of results or digests -- merges
-    // process-wide.
-    obs::Registry reg;
-    config.registry = &reg;
-    config.timeseries_window_s = env.timeseries_window_s;
-    config.incident_analysis = true;
-    bench::CellTraceStream trace(env.trace_dir, cell);
-    config.tracer = trace.tracer();
-    obs::SimProfiler prof;
-    if (env.profile) config.profiler = &prof;
+    bench::CellObservability observe(observability, cell);
+    observe.Wire(&config);
     const exp::Algorithm a = exp::AllAlgorithms()[cell.col];
     const exp::TreeScenarioResult r = exp::RunTreeScenario(env.Topo(), a, config);
     runner::CellResult out = bench::TreeCellResult(r);
-    out.registry = reg.Flatten();
-    out.incidents = r.incidents;
-    bench::ExportTimeSeries(reg, &out);
-    if (env.profile) obs::GlobalProfileAggregator().Merge(prof);
+    observe.Export(r.incidents, &out);
     return out;
   };
   return spec;
@@ -73,12 +61,15 @@ runner::GridSpec TreeSizeSweepSpec(const bench::BenchEnv& env) {
 int main(int argc, char** argv) {
   util::FlagSet flags;
   bench::DefineCommonFlags(flags);
+  bench::DefineObservabilityFlags(flags, /*profile=*/true);
   if (!flags.Parse(argc, argv)) return 1;
   const bench::BenchEnv env = bench::MakeEnv(flags);
+  const bench::Observability observability =
+      bench::ReadObservabilityFlags(flags, /*profile=*/true);
   bench::PrintHeader("Fig. 4 -- avg streaming disruptions per node", env);
 
-  const runner::GridSpec spec = TreeSizeSweepSpec(env);
-  const runner::ResultsSink sink = bench::RunGridBench(env, spec);
+  const runner::GridSpec spec = TreeSizeSweepSpec(env, observability);
+  const auto [sink, status] = bench::RunGridBench(env, spec);
   bench::PrintMetricTable(spec, sink, "disruptions", 3,
                           "avg disruptions per node (rows: steady-state size)");
 
@@ -93,6 +84,6 @@ int main(int argc, char** argv) {
   bench::PrintMetricTable(
       spec, sink, "reconnections", 3,
       "avg optimization-induced reconnections per member lifetime");
-  bench::MaybePrintProfile(env);
-  return 0;
+  bench::MaybePrintProfile(observability);
+  return status;
 }

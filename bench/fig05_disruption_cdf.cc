@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     return bench::TreeCellResult(exp::RunTreeScenario(env.Topo(), a, config),
                                  /*want_samples=*/true);
   };
-  const runner::ResultsSink sink = bench::RunGridBench(env, spec);
+  const auto [sink, status] = bench::RunGridBench(env, spec);
 
   const std::vector<double> grid = {1, 2, 4, 8, 16, 32, 64, 128};
   std::vector<std::string> header = {"disruptions<="};
@@ -50,5 +50,5 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout, "cumulative % of members with <= X disruptions (" +
                              std::to_string(env.focus_size) + " members)");
-  return 0;
+  return status;
 }

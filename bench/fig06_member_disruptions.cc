@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     out.metrics["final_delay_ms"] = delay.empty() ? 0.0 : delay.back().second;
     return out;
   };
-  const runner::ResultsSink sink = bench::RunGridBench(env, spec);
+  const auto [sink, status] = bench::RunGridBench(env, spec);
 
   // Each cumulative count, averaged across reps.
   PrintTraceTable(
@@ -129,5 +129,5 @@ int main(int argc, char** argv) {
         return counted > 0 ? sum / counted : 0.0;
       },
       "tagged member's service delay (ms) over time");
-  return 0;
+  return status;
 }

@@ -32,10 +32,10 @@ int main(int argc, char** argv) {
     return bench::StreamCellResult(exp::RunStreamScenario(
         env.Topo(), exp::Algorithm::kMinDepth, config, sp));
   };
-  const runner::ResultsSink sink = bench::RunGridBench(env, spec);
+  const auto [sink, status] = bench::RunGridBench(env, spec);
 
   bench::PrintMetricTable(spec, sink, "starving_ratio", 3,
                           "avg starving time ratio (%), min-depth tree + CER",
                           /*scale=*/100.0);
-  return 0;
+  return status;
 }

@@ -56,11 +56,11 @@ int main(int argc, char** argv) {
     return bench::StreamCellResult(
         exp::RunStreamScenario(env.Topo(), scheme.algorithm, config, sp));
   };
-  const runner::ResultsSink sink = bench::RunGridBench(env, spec);
+  const auto [sink, status] = bench::RunGridBench(env, spec);
 
   bench::PrintMetricTable(spec, sink, "starving_ratio", 3,
                           "avg starving time ratio (%) with 95% CI (" +
                               std::to_string(env.focus_size) + " members)",
                           /*scale=*/100.0, /*with_ci=*/true);
-  return 0;
+  return status;
 }

@@ -16,11 +16,8 @@
 //   ./bench/scale_sweep [--sizes=100000,1000000] [--duration=60]
 //                       [--out=results]
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,8 +28,6 @@
 #include "overlay/session.h"
 #include "proto/min_depth.h"
 #include "rand/distributions.h"
-#include "runner/results.h"
-#include "runner/runner.h"
 #include "runner/topology_cache.h"
 #include "sim/simulator.h"
 #include "util/flags.h"
@@ -45,9 +40,6 @@ struct SweepOptions {
   std::vector<int> sizes;
   double duration_s = 60.0;
   std::uint64_t seed = 1;
-  std::string out_dir;
-  bool resume = false;
-  bool progress = true;
 };
 
 // Stub hosts provisioned per steady-state size: 5% churn headroom so
@@ -107,22 +99,17 @@ int main(int argc, char** argv) {
   using namespace omcast;
   util::FlagSet flags;
   flags.Define("sizes", "100000,1000000", "steady-state member counts")
-      .Define("duration", "60", "simulated churn seconds per cell")
-      .Define("seed", "1", "base RNG seed")
-      .Define("out", "", "directory for scale_sweep.json (empty: none)")
-      .Define("resume", "false", "reuse matching cells from --out JSON")
-      .Define("progress", "true", "per-cell progress lines on stderr")
-      .Define("log-level", "warn", "debug | info | warn | error");
+      .Define("duration", "60", "simulated churn seconds per cell");
+  // No --threads: the cells are memory-heavy, so they never overlap.
+  bench::DefineDriverFlags(flags, /*threads_default=*/nullptr);
   if (!flags.Parse(argc, argv)) return 1;
-  bench::ApplyLogLevelFlag(flags.GetString("log-level"));
+  const bench::Driver driver =
+      bench::ReadDriverFlags(flags, /*threads_flag=*/false);
 
   SweepOptions opt;
   opt.sizes = flags.GetIntList("sizes");
   opt.duration_s = flags.GetDouble("duration");
-  opt.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
-  opt.out_dir = flags.GetString("out");
-  opt.resume = flags.GetBool("resume");
-  opt.progress = flags.GetBool("progress");
+  opt.seed = driver.seed;
   if (opt.sizes.empty()) {
     std::cerr << "--sizes must name at least one size\n";
     return 1;
@@ -144,34 +131,8 @@ int main(int argc, char** argv) {
     return RunCell(opt, cell);
   };
 
-  runner::RunnerOptions options;
-  options.threads = 1;  // cells are memory-heavy; never overlap them
-  options.base_seed = opt.seed;
-  options.progress = opt.progress;
-  const std::filesystem::path out_path =
-      opt.out_dir.empty()
-          ? std::filesystem::path{}
-          : std::filesystem::path(opt.out_dir) / (spec.figure + ".json");
-  runner::Json resume_doc;
-  if (opt.resume && !opt.out_dir.empty()) {
-    std::ifstream in(out_path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      std::string error;
-      resume_doc = runner::Json::Parse(buf.str(), &error);
-      if (resume_doc.is_object()) options.resume = &resume_doc;
-    }
-  }
-
-  runner::GridRunSummary summary = runner::RunGrid(spec, options);
-  runner::RunInfo info;
-  info.scale = "scale_sweep";
-  info.git_sha = bench::GitSha();
-  info.base_seed = opt.seed;
-  info.warmup_s = 0.0;
-  info.measure_s = opt.duration_s;
-  const runner::ResultsSink sink(spec, info, std::move(summary));
+  const auto [sink, status] = bench::RunGridBench(
+      driver, spec, "scale_sweep", /*warmup_s=*/0.0, opt.duration_s);
 
   const std::vector<bench::MetricColumn> columns = {
       {"events", "events", 0},
@@ -186,14 +147,5 @@ int main(int argc, char** argv) {
   };
   bench::PrintMetricColumnsTable(spec, sink, 0, columns,
                                  "calendar queue + landmark oracle");
-
-  if (!opt.out_dir.empty()) {
-    std::filesystem::create_directories(opt.out_dir);
-    if (!sink.WriteJson(out_path.string())) {
-      std::cerr << "[scale_sweep] FAILED to write " << out_path << "\n";
-      return 1;
-    }
-    std::cerr << "[scale_sweep] wrote " << out_path << "\n";
-  }
-  return 0;
+  return status;
 }

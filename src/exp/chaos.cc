@@ -4,8 +4,7 @@
 #include <optional>
 #include <vector>
 
-#include "exp/recovery_sampler.h"
-#include "obs/incident.h"
+#include "exp/run_observability.h"
 #include "obs/registry.h"
 #include "obs/timeseries.h"
 #include "sim/simulator.h"
@@ -17,10 +16,6 @@ using overlay::kNoNode;
 using overlay::NodeId;
 
 namespace {
-
-double ArrivalRate(int population) {
-  return static_cast<double>(population) / rnd::kMeanLifetimeSeconds;
-}
 
 // Kills every alive member hosted in `domain`. The victim list is collected
 // before the first kill: DepartNow mutates the alive list.
@@ -80,19 +75,8 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
 
   overlay::Session session(simulator, topology, std::move(protocol), sp,
                            config.seed);
-  // Incident analysis consumes the live event stream through a TraceSink;
-  // when the caller did not attach a tracer, a minimal run-local one feeds
-  // the sink (its single-slot ring is discarded -- only the stream matters).
-  obs::Tracer* tracer = config.tracer;
-  std::optional<obs::Tracer> local_tracer;
-  if (config.incident_analysis && tracer == nullptr) {
-    local_tracer.emplace(/*capacity=*/1);
-    tracer = &*local_tracer;
-  }
-  session.SetTracer(tracer);
-  obs::IncidentLog incident_log;
-  if (config.incident_analysis) tracer->AddSink(&incident_log);
-  simulator.SetProfiler(config.profiler);
+  RunObservability observability(simulator, session, config.tracer,
+                                 config.profiler, config.incident_analysis);
   sim::FaultPlane fault_plane(simulator, config.fault,
                               config.seed ^ 0x9e3779b97f4a7c15ULL);
   session.protocol().SetFaultPlane(&fault_plane);
@@ -167,8 +151,9 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
       // out.
       for (int i = 0; i < config.join_storm_count; ++i) {
         if (session.alive_count() + 1 >= topology.num_stub_nodes()) break;
-        const double bandwidth = sp.bandwidth_dist.Sample(chaos_rng);
-        const double lifetime = sp.lifetime_dist.Sample(chaos_rng);
+        const double bandwidth =
+            overlay::kMemberBandwidthDist.Sample(chaos_rng);
+        const double lifetime = overlay::kMemberLifetimeDist.Sample(chaos_rng);
         session.InjectMember(bandwidth, lifetime);
         ++r.join_storm_injected;
       }
@@ -205,7 +190,7 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
         if (!session.tree().Alive(id)) continue;
         const double downtime =
             chaos_rng.ExponentialMean(config.reconnect_downtime_mean_s);
-        const double lifetime = sp.lifetime_dist.Sample(chaos_rng);
+        const double lifetime = overlay::kMemberLifetimeDist.Sample(chaos_rng);
         session.DepartNow(id);
         session.ScheduleReentry(id, downtime, lifetime);
         ++r.reconnect_storm_killed;
@@ -317,17 +302,7 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
   // Protocol-agnostic counter export: "rost.*" lock traffic or "clique.*"
   // election/recovery tallies, depending on the algorithm under test.
   session.protocol().ExportCounters(reg);
-  if (config.incident_analysis) {
-    incident_log.Finalize(now);
-    incident_log.ExportTo(reg);
-    r.incidents = incident_log.FlatStats();
-    tracer->RemoveSink(&incident_log);
-  }
-  // Ring-eviction visibility only makes sense for a caller-attached tracer;
-  // the run-local incident feed intentionally retains nothing.
-  if (config.tracer != nullptr)
-    reg.Count("obs.trace.evicted",
-              static_cast<double>(config.tracer->dropped()));
+  r.incidents = observability.Finish(now, &reg);
   r.registry = reg.Flatten();
   if (config.registry != nullptr) config.registry->MergeFrom(reg);
   r.avg_starving_ratio = stream.ratio_stat().mean();

@@ -2,11 +2,9 @@
 
 #include <optional>
 
-#include "exp/recovery_sampler.h"
+#include "exp/run_observability.h"
 #include "metrics/collectors.h"
-#include "obs/incident.h"
 #include "obs/registry.h"
-#include "obs/trace.h"
 #include "proto/longest_first.h"
 #include "proto/min_depth.h"
 #include "proto/relaxed_ordered.h"
@@ -55,16 +53,6 @@ std::unique_ptr<overlay::Protocol> MakeProtocol(
 
 namespace {
 
-double ArrivalRate(int population) {
-  return static_cast<double>(population) / rnd::kMeanLifetimeSeconds;
-}
-
-void AttachObservability(sim::Simulator& simulator, overlay::Session& session,
-                         const ScenarioConfig& config) {
-  session.SetTracer(config.tracer);
-  simulator.SetProfiler(config.profiler);
-}
-
 // End-of-run session-level counters shared by every scenario runner.
 void ExportSessionCounters(obs::Registry& reg, overlay::Session& session) {
   reg.Count("session.total_members",
@@ -89,19 +77,8 @@ TreeScenarioResult RunTreeScenario(const net::Topology& topology, Algorithm a,
                    : nullptr;
   overlay::Session session(simulator, topology, std::move(protocol),
                            config.session, config.seed);
-  // As in the chaos harness: incident analysis rides the live trace stream,
-  // and a run-local single-slot tracer feeds the sink when the caller did
-  // not attach one of its own.
-  obs::Tracer* tracer = config.tracer;
-  std::optional<obs::Tracer> local_tracer;
-  if (config.incident_analysis && tracer == nullptr) {
-    local_tracer.emplace(/*capacity=*/1);
-    tracer = &*local_tracer;
-  }
-  session.SetTracer(tracer);
-  simulator.SetProfiler(config.profiler);
-  obs::IncidentLog incident_log;
-  if (config.incident_analysis) tracer->AddSink(&incident_log);
+  RunObservability observability(simulator, session, config.tracer,
+                                 config.profiler, config.incident_analysis);
   metrics::MemberOutcomes outcomes(session);
   metrics::TreeSnapshots snapshots(session, config.snapshot_interval_s);
 
@@ -138,20 +115,10 @@ TreeScenarioResult RunTreeScenario(const net::Topology& topology, Algorithm a,
     r.rost_switches = rost->switches_performed();
     r.rost_lock_conflicts = rost->lock_conflicts();
   }
-  if (config.incident_analysis) {
-    incident_log.Finalize(simulator.now());
-    r.incidents = incident_log.FlatStats();
-    if (config.registry != nullptr) incident_log.ExportTo(*config.registry);
-    tracer->RemoveSink(&incident_log);
-  }
+  r.incidents = observability.Finish(simulator.now(), config.registry);
   if (config.registry != nullptr) {
     ExportSessionCounters(*config.registry, session);
     session.protocol().ExportCounters(*config.registry);
-    // Ring-eviction visibility, caller-attached tracers only (the run-local
-    // incident feed intentionally retains nothing).
-    if (config.tracer != nullptr)
-      config.registry->Count("obs.trace.evicted",
-                             static_cast<double>(config.tracer->dropped()));
   }
   return r;
 }
@@ -164,7 +131,8 @@ StreamScenarioResult RunStreamScenario(const net::Topology& topology,
   overlay::Session session(simulator, topology,
                            MakeProtocol(a, config.rost, config.clique),
                            config.session, config.seed);
-  AttachObservability(simulator, session, config);
+  RunObservability observability(simulator, session, config.tracer,
+                                 config.profiler, /*incident_analysis=*/false);
   stream::StreamingLayer streaming(session, stream, config.seed ^ 0x5151);
 
   const double t_measure = config.warmup_s;
@@ -196,7 +164,8 @@ TraceResult RunMemberTraceScenario(const net::Topology& topology, Algorithm a,
   overlay::Session session(simulator, topology,
                            MakeProtocol(a, config.rost, config.clique),
                            config.session, config.seed);
-  AttachObservability(simulator, session, config);
+  RunObservability observability(simulator, session, config.tracer,
+                                 config.profiler, /*incident_analysis=*/false);
   metrics::MemberTrace trace(session, config.snapshot_interval_s);
 
   session.Prepopulate(config.population);

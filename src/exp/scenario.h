@@ -50,6 +50,10 @@ const char* AlgorithmLabel(Algorithm a);
 std::unique_ptr<overlay::Protocol> MakeProtocol(
     Algorithm a, const core::RostParams& rost,
     const proto::CliqueParams& clique = {});
+// The Poisson arrival rate that holds `population` members steady.
+inline double ArrivalRate(int population) {
+  return static_cast<double>(population) / rnd::kMeanLifetimeSeconds;
+}
 
 // Plain value type: runner cells copy one per cell and patch population /
 // seed, so scenario code must never stash pointers to a shared config.

@@ -43,6 +43,11 @@ void SessionHooks::FireMemberDeparted(const Member& member) const {
 
 namespace {
 
+// TryJoin's retry backoff cap (in units of join_retry_delay_s), and the
+// failed attempts after which a stuck fragment root releases its children.
+constexpr int kJoinRetryMaxBackoff = 8;
+constexpr int kFragmentDissolveAfterAttempts = 3;
+
 // Root host is drawn first so the tree root is a random stub node, as in the
 // paper ("the server's location is fixed at a randomly chosen stub node").
 net::HostId DrawRootHost(const net::Topology& topology, std::uint64_t seed) {
@@ -62,12 +67,8 @@ void ValidateSessionParams(const SessionParams& params) {
   util::Check(params.join_retry_delay_s > 0.0,
               "join retry delay must be positive (zero would busy-loop "
               "failed joins at one instant)");
-  util::Check(params.join_retry_max_backoff >= 1,
-              "join retry backoff cap must be at least 1x the base delay");
   util::Check(params.rejoin_delay_s >= 0.0,
               "rejoin delay must be non-negative");
-  util::Check(params.fragment_dissolve_after_attempts >= 1,
-              "fragment dissolution needs at least one failed attempt");
   util::Check(params.prepopulate_age_horizon_s >= 0.0,
               "pre-population age horizon must be non-negative");
   util::Check(params.reentry_max_attempts >= 1,
@@ -141,8 +142,8 @@ void Session::Prepopulate(int count) {
   util::Check(sim_.now() == 0.0, "prepopulate only at time 0");
   util::Check(count < topology_.num_stub_nodes(),
               "population exceeds host count");
-  const double mu = params_.lifetime_dist.mu();
-  const double sigma = params_.lifetime_dist.sigma();
+  const double mu = kMemberLifetimeDist.mu();
+  const double sigma = kMemberLifetimeDist.sigma();
   std::vector<NodeId> ids;
   ids.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
@@ -160,7 +161,7 @@ void Session::Prepopulate(int count) {
         break;
       age = params_.prepopulate_age_horizon_s;  // clamp if rejection fails
     }
-    const double bandwidth = params_.bandwidth_dist.Sample(rng_);
+    const double bandwidth = kMemberBandwidthDist.Sample(rng_);
     ids.push_back(CreateMemberRecord(bandwidth, biased_lifetime, -age));
   }
   // Join oldest-first: this replays the historical join order of a system
@@ -245,8 +246,8 @@ void Session::Arrive() {
     ++dropped_arrivals_;
     return;
   }
-  const double bandwidth = params_.bandwidth_dist.Sample(rng_);
-  const double lifetime = params_.lifetime_dist.Sample(rng_);
+  const double bandwidth = kMemberBandwidthDist.Sample(rng_);
+  const double lifetime = kMemberLifetimeDist.Sample(rng_);
   const NodeId id = CreateMemberRecord(bandwidth, lifetime, sim_.now());
   ScheduleDeparture(id);
   TryJoin(id);
@@ -278,7 +279,7 @@ void Session::TryJoin(NodeId id) {
   // A persistently stuck fragment dissolves: its children (whose own
   // failure detection has fired by now) rejoin on their own, freeing their
   // subtree capacity for the overlay.
-  if (attempts == params_.fragment_dissolve_after_attempts &&
+  if (attempts == kFragmentDissolveAfterAttempts &&
       tree_.ChildCount(id) != 0) {
     const std::vector<NodeId> children = tree_.Children(id);
     for (NodeId c : children) {
@@ -292,7 +293,7 @@ void Session::TryJoin(NodeId id) {
   }
 
   const int backoff =
-      std::min(1 << std::min(attempts - 1, 10), params_.join_retry_max_backoff);
+      std::min(1 << std::min(attempts - 1, 10), kJoinRetryMaxBackoff);
   // Guarded: with an external failure detector a second join path
   // (RejoinOrphan) can attach the member while this retry is in flight.
   sim_.ScheduleAfter(

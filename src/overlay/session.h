@@ -110,20 +110,12 @@ struct SessionParams {
   // uses "say, 100").
   int candidate_sample_size = 100;
   double join_retry_delay_s = 1.0;
-  // Failed joins back off exponentially up to this factor of the base delay.
-  int join_retry_max_backoff = 8;
   // Time between a parent failure and the orphan's first join attempt
   // (failure detection + parent re-finding). The structural experiments use
   // 0 (instant rejoin, as in the paper's tree-level study); the
   // packet-level simulator sets the paper's 15 s so the data-plane hole is
   // physically present in the tree.
   double rejoin_delay_s = 0.0;
-  // After this many consecutive failed rejoin attempts, a fragment root
-  // releases its children: their own failure detection has long fired (no
-  // data is flowing), so in a real deployment they rejoin independently
-  // rather than wait on a stuck ancestor. This keeps a stuck fragment from
-  // holding its whole subtree's bandwidth hostage.
-  int fragment_dissolve_after_attempts = 3;
   // How long the broadcast has been running before t=0. Pre-populated ages
   // are drawn from the stationary renewal distribution *truncated* at this
   // horizon: a live-streaming session is hours old, not infinitely old, and
@@ -145,9 +137,13 @@ struct SessionParams {
   // reentry_backoff_cap times the base delay.
   int reentry_max_attempts = 6;
   int reentry_backoff_cap = 16;
-  rnd::BoundedPareto bandwidth_dist = rnd::PaperBandwidthDist();
-  rnd::LognormalDist lifetime_dist = rnd::PaperLifetimeDist();
 };
+
+// Every member's bandwidth and lifetime come from the paper's workload
+// distributions (Section 5).
+inline const rnd::BoundedPareto kMemberBandwidthDist =
+    rnd::PaperBandwidthDist();
+inline const rnd::LognormalDist kMemberLifetimeDist = rnd::PaperLifetimeDist();
 
 // Aborts unless the parameter combination is self-consistent (positive
 // rates, a root that can feed at least one child, sane retry/backoff

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 
 #include "core/rost/rost.h"
 #include "net/topology.h"
+#include "obs/trace.h"
 #include "proto/min_depth.h"
 #include "sim/fault_plane.h"
 #include "sim/simulator.h"
@@ -392,6 +394,27 @@ TEST(ChaosScenario, RegistryExportsEveryResilienceCounter) {
       "reconnect.scheduled",
   };
   EXPECT_EQ(names, expected);
+}
+
+// Incident analysis reads the live trace stream, so a caller tracer whose
+// ring evicts must change nothing but its own eviction count.
+TEST(ChaosScenario, IncidentsAreTheSameWithAndWithoutACallerTracer) {
+  rnd::Rng topo_rng(1);
+  const net::Topology topology =
+      net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+  ChaosConfig c = TinyChaosConfig(21);
+  c.incident_analysis = true;
+  const ChaosResult plain = RunChaosScenario(topology, c);
+  obs::Tracer tracer(/*capacity=*/16);
+  c.tracer = &tracer;
+  const ChaosResult traced = RunChaosScenario(topology, c);
+
+  EXPECT_GT(plain.incidents.at("incident.count"), 0.0);
+  EXPECT_GT(tracer.dropped(), 0u);
+  EXPECT_EQ(plain.incidents, traced.incidents);
+  std::map<std::string, double> registry = traced.registry;
+  EXPECT_EQ(registry.erase("obs.trace.evicted"), 1u);
+  EXPECT_EQ(plain.registry, registry);
 }
 
 // The PR's acceptance scenario: 500 members on the paper-scale topology,

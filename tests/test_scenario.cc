@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "net/topology.h"
+#include "obs/registry.h"
+#include "obs/trace.h"
 
 namespace omcast::exp {
 namespace {
@@ -155,6 +160,42 @@ TEST(Scenario, MakeProtocolHonorsRostParams) {
   auto* rost = dynamic_cast<core::RostProtocol*>(protocol.get());
   ASSERT_NE(rost, nullptr);
   EXPECT_EQ(rost->params().switching_interval_s, 42.0);
+}
+
+// Incident analysis reads the live trace stream, so a caller tracer whose
+// ring evicts must change nothing but its own eviction count.
+TEST(Scenario, IncidentsAreTheSameWithAndWithoutACallerTracer) {
+  rnd::Rng topo_rng(1);
+  const net::Topology topology =
+      net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+  for (const Algorithm a : AllAlgorithms()) {
+    SCOPED_TRACE(AlgorithmLabel(a));
+    ScenarioConfig c;
+    c.population = 60;
+    c.warmup_s = 600.0;
+    c.measure_s = 1200.0;
+    c.seed = 3;
+    // Under the default 100-slot root a 60-member tree is a star, and a
+    // star opens no incidents.
+    c.session.root_bandwidth = 5.0;
+    c.incident_analysis = true;
+    obs::Registry plain_registry;
+    c.registry = &plain_registry;
+    const TreeScenarioResult plain = RunTreeScenario(topology, a, c);
+
+    obs::Registry traced_registry;
+    obs::Tracer tracer(/*capacity=*/16);
+    c.registry = &traced_registry;
+    c.tracer = &tracer;
+    const TreeScenarioResult traced = RunTreeScenario(topology, a, c);
+
+    EXPECT_GT(plain.incidents.at("incident.count"), 0.0);
+    EXPECT_GT(tracer.dropped(), 0u);
+    EXPECT_EQ(plain.incidents, traced.incidents);
+    std::map<std::string, double> flat = traced_registry.Flatten();
+    EXPECT_EQ(flat.erase("obs.trace.evicted"), 1u);
+    EXPECT_EQ(plain_registry.Flatten(), flat);
+  }
 }
 
 }  // namespace

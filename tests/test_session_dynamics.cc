@@ -117,7 +117,7 @@ TEST_F(SessionDynamicsTest, StuckFragmentDissolves) {
   tree.Detach(blocker);  // fragment {blocker, kid1}, root slot now free...
   tree.SetCapacity(kRootId, 0);  // ...and gone again
   s->ForceRejoin(blocker);
-  // After fragment_dissolve_after_attempts failures, kid1 is released and
+  // After kFragmentDissolveAfterAttempts failures, kid1 is released and
   // retries on its own.
   sim_.RunUntil(40.0);
   EXPECT_EQ(tree.Children(blocker).size(), 0u);

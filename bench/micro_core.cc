@@ -17,6 +17,7 @@
 #include "overlay/heartbeat.h"
 #include "rand/distributions.h"
 #include "rand/rng.h"
+#include "sim/fault_plane.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -240,10 +241,18 @@ BENCHMARK(BM_RelaxedJoin)
 // --- heartbeat and gossip timers on prepopulated overlays -------------------
 //
 // Each iteration advances a prepopulated overlay (state.range(0) members,
-// no arrivals) by one timer period: a second of heartbeat sends,
-// deliveries and suspicion monitors, or a 30 s gossip period (one tick and
-// push-pull exchange per member). A fixed iteration count bounds how far
-// departures thin the membership. Items are dispatched events.
+// no arrivals) by one timer period: a second of heartbeat failure
+// detection, or a 30 s gossip period (one tick and push-pull exchange per
+// member). A fixed iteration count bounds how far departures thin the
+// membership.
+//
+// BM_HeartbeatSecond runs both heartbeat paths on one binary:
+// state.range(1) = 1 routes every beat through a zero-loss, zero-jitter
+// FaultPlane (a send event per beating member, a delivery per child and
+// a re-arming monitor each second), 0 runs the closed form, which
+// schedules none of them. Its items are member-seconds (alive members x
+// simulated seconds), so items/s is the simulated load each path carries
+// per wall second. BM_GossipPeriod's items are dispatched events.
 
 void BM_HeartbeatSecond(benchmark::State& state) {
   sim::Simulator sim;
@@ -254,21 +263,27 @@ void BM_HeartbeatSecond(benchmark::State& state) {
       exp::MakeProtocol(exp::Algorithm::kMinDepth, core::RostParams{}), sp,
       3);
   const overlay::HeartbeatParams params;
-  overlay::HeartbeatService heartbeat(session, params, 5);
+  const bool event_path = state.range(1) != 0;
+  sim::FaultPlane plane(sim, {}, 7);
+  overlay::HeartbeatService heartbeat(session, params, 5,
+                                      event_path ? &plane : nullptr);
   session.Prepopulate(static_cast<int>(state.range(0)));
   // Past every start phase and every attach-time monitor.
   sim.RunUntil(2.0 * heartbeat.SuspicionTimeout());
-  const std::uint64_t events_before = sim.executed_count();
+  double member_seconds = 0.0;
   for (auto _ : state) {
+    member_seconds += session.alive_count() * params.period_s;
     sim.RunUntil(sim.now() + params.period_s);
-    benchmark::DoNotOptimize(heartbeat.heartbeats_sent());
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(sim.executed_count() - events_before));
+  benchmark::DoNotOptimize(heartbeat.detections());
+  state.SetItemsProcessed(static_cast<std::int64_t>(member_seconds));
+  state.SetLabel(event_path ? "event path (zero-loss plane)" : "closed form");
 }
 BENCHMARK(BM_HeartbeatSecond)
-    ->Arg(2000)
-    ->Arg(10000)
+    ->Args({2000, 0})
+    ->Args({2000, 1})
+    ->Args({10000, 0})
+    ->Args({10000, 1})
     ->Iterations(40)
     ->Unit(benchmark::kMicrosecond);
 

@@ -131,6 +131,7 @@ void Tree::Attach(NodeId parent, NodeId child) {
   preorder_next_[last] = preorder_next_[static_cast<std::size_t>(parent)];
   preorder_next_[static_cast<std::size_t>(parent)] = child;
   RecomputeLayers(child);
+  if (edge_observer_ != nullptr) edge_observer_->OnEdgeAdded(parent, child);
 }
 
 void Tree::Detach(NodeId child) {
@@ -148,6 +149,7 @@ void Tree::Detach(NodeId child) {
   UnlinkChild(parent, child);
   parent_[static_cast<std::size_t>(child)] = kNoNode;
   in_tree_[static_cast<std::size_t>(child)] = 0;
+  if (edge_observer_ != nullptr) edge_observer_->OnEdgeRemoved(parent, child);
 }
 
 std::vector<NodeId> Tree::RemoveFromTree(NodeId id) {
@@ -167,6 +169,8 @@ std::vector<NodeId> Tree::RemoveFromTree(NodeId id) {
   preorder_next_[i] = kNoNode;
   child_count_[i] = 0;
   in_tree_[i] = 0;
+  if (edge_observer_ != nullptr)
+    for (NodeId c : orphans) edge_observer_->OnEdgeRemoved(id, c);
   return orphans;
 }
 

@@ -32,6 +32,19 @@
 
 namespace omcast::overlay {
 
+// Sees every parent-child edge the tree gains or loses, after the change:
+// Attach reports the new edge, Detach the cut one, and RemoveFromTree the
+// removed member's own edge (through Detach) and then each orphan's edge in
+// child order. Observers must not mutate the tree.
+class EdgeObserver {
+ public:
+  virtual void OnEdgeAdded(NodeId parent, NodeId child) = 0;
+  virtual void OnEdgeRemoved(NodeId parent, NodeId child) = 0;
+
+ protected:
+  ~EdgeObserver() = default;
+};
+
 class Tree {
  public:
   // Creates the store with the root (source) member occupying id 0.
@@ -170,6 +183,14 @@ class Tree {
     capacity_[static_cast<std::size_t>(id)] = capacity;
   }
 
+  // Installs (or clears, with nullptr) the one edge observer; non-owning.
+  // Null by default, which leaves each mutation a single branch.
+  void SetEdgeObserver(EdgeObserver* observer) {
+    util::Check(observer == nullptr || edge_observer_ == nullptr,
+                "the tree has one edge observer slot");
+    edge_observer_ = observer;
+  }
+
   // --- queries ------------------------------------------------------------
 
   // True if walking the parent chain from `id` reaches the root.
@@ -243,6 +264,7 @@ class Tree {
   std::vector<std::int32_t> capacity_;
   std::vector<std::uint8_t> alive_;
   std::vector<std::uint8_t> in_tree_;
+  EdgeObserver* edge_observer_ = nullptr;  // not owned
 };
 
 }  // namespace omcast::overlay

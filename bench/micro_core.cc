@@ -252,7 +252,9 @@ BENCHMARK(BM_RelaxedJoin)
 // a re-arming monitor each second), 0 runs the closed form, which
 // schedules none of them. Its items are member-seconds (alive members x
 // simulated seconds), so items/s is the simulated load each path carries
-// per wall second. BM_GossipPeriod's items are dispatched events.
+// per wall second. BM_GossipPeriod's items are dispatched events; its
+// view_bytes_per_member counter is the entry storage of every view plus
+// the merge buffer, per alive member.
 
 void BM_HeartbeatSecond(benchmark::State& state) {
   sim::Simulator sim;
@@ -306,8 +308,13 @@ void BM_GossipPeriod(benchmark::State& state) {
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(sim.executed_count() - events_before));
+  state.counters["view_bytes_per_member"] =
+      static_cast<double>(gossip.view_slots() *
+                          sizeof(overlay::GossipService::Entry)) /
+      session.alive_count();
 }
 BENCHMARK(BM_GossipPeriod)
+    ->Arg(2000)
     ->Arg(10000)
     ->Iterations(8)
     ->Unit(benchmark::kMillisecond);

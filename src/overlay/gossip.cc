@@ -11,7 +11,11 @@ GossipService::GossipService(Session& session, GossipParams params,
                              std::uint64_t seed)
     : session_(session), params_(params), rng_(seed) {
   util::Check(params_.view_size > 0, "gossip view must hold entries");
+  util::Check(params_.exchange_size > 0, "gossip exchange must ship entries");
   util::Check(params_.period_s > 0.0, "gossip period must be positive");
+  // The largest merge: a full view plus a bootstrap batch and the parent.
+  merge_buffer_.reserve(static_cast<std::size_t>(params_.view_size) +
+                        static_cast<std::size_t>(params_.exchange_size) + 1);
   session_.hooks().AddOnAttached(
       [this](NodeId id, NodeId parent) {
         Activate(id);
@@ -26,15 +30,28 @@ GossipService::GossipService(Session& session, GossipParams params,
                  static_cast<std::size_t>(params_.exchange_size)))
           bootstrap.push_back({m, now});
         Merge(id, bootstrap);
-        if (parent != kRootId) Merge(id, SampleSlice(parent));
-        Merge(parent, {{id, now}});
+        // The source keeps no view: it never ticks, and no member asks it
+        // for peers.
+        if (parent == kRootId) return;
+        SampleSlice(parent, pull_slice_);
+        Merge(id, pull_slice_);
+        const Entry joiner{id, now};
+        Merge(parent, {&joiner, 1});
       });
   session_.hooks().AddOnMemberDeparted(
       [this](const Member& m) { Deactivate(m.id); });
 }
 
 GossipService::View& GossipService::ViewFor(NodeId member) {
-  return views_[member];  // value-initialized on first access
+  util::Check(member >= 0, "gossip view of no member");
+  const auto slot = static_cast<std::size_t>(member);
+  if (slot >= views_.size()) views_.resize(slot + 1);
+  return views_[slot];
+}
+
+const GossipService::View* GossipService::FindView(NodeId member) const {
+  const auto slot = static_cast<std::size_t>(member);
+  return member >= 0 && slot < views_.size() ? &views_[slot] : nullptr;
 }
 
 void GossipService::Activate(NodeId member) {
@@ -54,25 +71,33 @@ void GossipService::Deactivate(NodeId member) {
     session_.simulator().Cancel(view.timer);
     view.timer = sim::kInvalidEventId;
   }
-  view.entries.clear();
+  // Nothing reads a departed member's view: give its slots back.
+  std::vector<Entry>().swap(view.entries);
+  view.oldest = std::numeric_limits<double>::infinity();
 }
 
 void GossipService::Prune(View& view, double now) {
+  // Subtraction is monotone, so while the bound is within the TTL no entry
+  // is past it: this skips exactly the scans that would remove nothing.
+  if (now - view.oldest <= params_.entry_ttl_s) return;
   std::erase_if(view.entries, [&](const Entry& e) {
     return now - e.heard_at > params_.entry_ttl_s;
   });
+  view.oldest = std::numeric_limits<double>::infinity();
+  for (const Entry& e : view.entries)
+    view.oldest = std::min(view.oldest, e.heard_at);
 }
 
-std::vector<GossipService::Entry> GossipService::SampleSlice(NodeId member) {
+void GossipService::SampleSlice(NodeId member, std::vector<Entry>& slice) {
   View& view = ViewFor(member);
   // Never ship expired records (a responding member filters its own view
   // as it answers, even if its periodic prune has not run yet).
   Prune(view, session_.simulator().now());
-  std::vector<Entry> slice = rng_.SampleWithoutReplacement(
-      view.entries, static_cast<std::size_t>(params_.exchange_size) - 1);
+  slice.assign(view.entries.begin(), view.entries.end());
+  rng_.SampleWithoutReplacementInPlace(
+      slice, static_cast<std::size_t>(params_.exchange_size) - 1);
   // A member always advertises itself with a fresh timestamp.
   slice.push_back({member, session_.simulator().now()});
-  return slice;
 }
 
 void GossipService::IndexEntry(NodeId id, std::uint32_t pos) {
@@ -85,17 +110,22 @@ void GossipService::IndexEntry(NodeId id, std::uint32_t pos) {
   index_pos_[slot] = pos;
 }
 
-void GossipService::Merge(NodeId member, const std::vector<Entry>& incoming) {
+void GossipService::Merge(NodeId member, std::span<const Entry> incoming) {
   View& view = ViewFor(member);
+  view.entries.reserve(static_cast<std::size_t>(params_.view_size));
   const double now = session_.simulator().now();
+  // The view grows past view_size before it is cut back, so the merge runs
+  // in the buffer; the same steps on the same sequence keep the order.
+  std::vector<Entry>& merged = merge_buffer_;
+  merged.assign(view.entries.begin(), view.entries.end());
   // Index the view by id once, so each incoming record finds its entry in
   // O(1): the merge costs O(view + incoming), not O(view * incoming).
   if (++merge_epoch_ == 0) {  // wrapped: no stale stamp may match again
     std::fill(index_stamp_.begin(), index_stamp_.end(), 0);
     merge_epoch_ = 1;
   }
-  for (std::size_t pos = 0; pos < view.entries.size(); ++pos)
-    IndexEntry(view.entries[pos].id, static_cast<std::uint32_t>(pos));
+  for (std::size_t pos = 0; pos < merged.size(); ++pos)
+    IndexEntry(merged[pos].id, static_cast<std::uint32_t>(pos));
   for (const Entry& in : incoming) {
     // Refuse entries that are already past the TTL: without this filter
     // stale records circulate between views as an epidemic, re-entering
@@ -112,22 +142,23 @@ void GossipService::Merge(NodeId member, const std::vector<Entry>& incoming) {
     }
     const auto slot = static_cast<std::size_t>(in.id);
     if (slot < index_stamp_.size() && index_stamp_[slot] == merge_epoch_) {
-      Entry& known = view.entries[index_pos_[slot]];
+      Entry& known = merged[index_pos_[slot]];
       known.heard_at = std::max(known.heard_at, in.heard_at);
     } else {
-      IndexEntry(in.id, static_cast<std::uint32_t>(view.entries.size()));
-      view.entries.push_back(in);
+      IndexEntry(in.id, static_cast<std::uint32_t>(merged.size()));
+      merged.push_back(in);
+      view.oldest = std::min(view.oldest, in.heard_at);
     }
   }
-  if (static_cast<int>(view.entries.size()) > params_.view_size) {
+  if (static_cast<int>(merged.size()) > params_.view_size) {
     // Keep the freshest view_size entries.
-    std::nth_element(view.entries.begin(),
-                     view.entries.begin() + params_.view_size,
-                     view.entries.end(), [](const Entry& a, const Entry& b) {
+    std::nth_element(merged.begin(), merged.begin() + params_.view_size,
+                     merged.end(), [](const Entry& a, const Entry& b) {
                        return a.heard_at > b.heard_at;
                      });
-    view.entries.resize(static_cast<std::size_t>(params_.view_size));
+    merged.resize(static_cast<std::size_t>(params_.view_size));
   }
+  view.entries.assign(merged.begin(), merged.end());
 }
 
 void GossipService::Tick(NodeId member) {
@@ -163,11 +194,14 @@ void GossipService::Tick(NodeId member) {
       continue;
     }
     // Push-pull: exchange random slices.
-    const auto mine = SampleSlice(member);
-    const auto theirs = SampleSlice(partner);
-    Merge(partner, mine);
-    Merge(member, theirs);
-    view.entries[pick].heard_at = now;  // the contact itself is fresh news
+    SampleSlice(member, push_slice_);
+    SampleSlice(partner, pull_slice_);
+    Merge(partner, push_slice_);
+    Merge(member, pull_slice_);
+    // The contact itself is fresh news. Merge may have reordered and cut
+    // the view (nth_element), so this refreshes whichever entry now sits at
+    // `pick`, not always the partner; fixing it changes every output.
+    view.entries[pick].heard_at = now;
     ++exchanges_;
     break;
   }
@@ -181,12 +215,11 @@ std::vector<NodeId> GossipService::KnownMembers(Session& session,
   // none yet and falls back to querying the bootstrap service (modelled as
   // a uniform sample, exactly the paper's "queries the existing members for
   // information about other participants").
-  const auto it = requester != kNoNode ? views_.find(requester) : views_.end();
-  if (it != views_.end() && !it->second.entries.empty()) {
-    const View& view = it->second;
+  const View* view = FindView(requester);
+  if (view != nullptr && !view->entries.empty()) {
     std::vector<NodeId> ids;
-    ids.reserve(view.entries.size());
-    for (const Entry& e : view.entries) ids.push_back(e.id);
+    ids.reserve(view->entries.size());
+    for (const Entry& e : view->entries) ids.push_back(e.id);
     return rng_.SampleWithoutReplacement(std::move(ids),
                                          static_cast<std::size_t>(k));
   }
@@ -198,8 +231,14 @@ std::vector<NodeId> GossipService::KnownMembers(Session& session,
 }
 
 std::size_t GossipService::ViewSize(NodeId member) const {
-  const auto it = views_.find(member);
-  return it == views_.end() ? 0 : it->second.entries.size();
+  const View* view = FindView(member);
+  return view == nullptr ? 0 : view->entries.size();
+}
+
+std::size_t GossipService::view_slots() const {
+  std::size_t slots = merge_buffer_.capacity();
+  for (const View& view : views_) slots += view.entries.capacity();
+  return slots;
 }
 
 }  // namespace omcast::overlay

@@ -57,9 +57,18 @@ class Rng {
   // Fisher-Yates); order of the returned sample is random.
   template <typename T>
   std::vector<T> SampleWithoutReplacement(std::vector<T> v, std::size_t k) {
+    SampleWithoutReplacementInPlace(v, k);
+    return v;
+  }
+
+  // The same sample from the same draws, in the caller's buffer: `v` holds
+  // the population on entry and the sample on return, and keeps its
+  // capacity, so a caller that refills one buffer allocates nothing.
+  template <typename T>
+  void SampleWithoutReplacementInPlace(std::vector<T>& v, std::size_t k) {
     if (k >= v.size()) {
       Shuffle(v);
-      return v;
+      return;
     }
     for (std::size_t i = 0; i < k; ++i) {
       const std::size_t j =
@@ -68,7 +77,6 @@ class Rng {
       std::swap(v[i], v[j]);
     }
     v.resize(k);
-    return v;
   }
 
   // SampleWithoutReplacement without copying the population: O(k) time and

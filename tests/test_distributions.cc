@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "rand/rng.h"
 
@@ -114,6 +119,31 @@ TEST(Rng, SampleLargerThanPoolReturnsAll) {
   Rng rng(5);
   const auto sample = rng.SampleWithoutReplacement(std::vector<int>{1, 2, 3}, 10);
   EXPECT_EQ(sample.size(), 3u);
+}
+
+// SampleWithoutReplacementFrom promises the by-value overload's variate
+// sequence, and the in-place overload is the by-value one in the caller's
+// buffer; join sampling and the gossip slices rely on both. Each overload
+// must return the same sample and leave the engine at the same point.
+TEST(Rng, SampleOverloadsDrawTheSameSequence) {
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {10, 0}, {10, 3}, {10, 10}, {10, 15}, {100, 49}, {10000, 617}};
+  for (const auto& [n, k] : cases) {
+    std::vector<int> pool(n);
+    for (std::size_t i = 0; i < n; ++i) pool[i] = static_cast<int>(7 * i + 3);
+    Rng by_value(41), from(41), in_place(41);
+    const std::vector<int> sample = by_value.SampleWithoutReplacement(pool, k);
+    EXPECT_EQ(sample.size(), std::min(n, k)) << n << " " << k;
+    EXPECT_EQ(from.SampleWithoutReplacementFrom(pool, k), sample)
+        << n << " " << k;
+    std::vector<int> buffer = pool;
+    in_place.SampleWithoutReplacementInPlace(buffer, k);
+    EXPECT_EQ(buffer, sample) << n << " " << k;
+    EXPECT_GE(buffer.capacity(), n);
+    const std::uint64_t next = by_value.engine()();
+    EXPECT_EQ(from.engine()(), next) << n << " " << k;
+    EXPECT_EQ(in_place.engine()(), next) << n << " " << k;
+  }
 }
 
 TEST(Rng, ExponentialMeanIsUnbiased) {

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <vector>
 
+#include "core/rost/rost.h"
+#include "exp/scenario.h"
 #include "net/topology.h"
 #include "proto/min_depth.h"
 #include "sim/simulator.h"
+#include "util/hash.h"
 
 namespace omcast::overlay {
 namespace {
@@ -152,6 +157,77 @@ TEST_F(GossipTest, LongRunViewsHoldDistinctOthers) {
       ASSERT_FALSE(distinct.contains(kRootId)) << "member " << id << " t=" << t;
     }
   }
+}
+
+TEST_F(GossipTest, ViewStorageIsOneViewPerAliveMember) {
+  const GossipParams params;
+  const auto per_view = static_cast<std::size_t>(params.view_size);
+  session_->Prepopulate(60);
+  session_->StartArrivals(60.0 / rnd::kMeanLifetimeSeconds);
+  sim_.RunUntil(3000.0);
+  ASSERT_GT(session_->total_members_created(), 2 * session_->alive_count());
+  const std::size_t slots = gossip_->view_slots();
+  const auto alive = static_cast<std::size_t>(session_->alive_count());
+
+  // A departing member gives back exactly its view's slots.
+  session_->StopArrivals();
+  NodeId leaver = kNoNode;
+  for (NodeId id : session_->alive_members())
+    if (gossip_->ViewSize(id) > 0) leaver = id;
+  ASSERT_NE(leaver, kNoNode);
+  const std::size_t before = gossip_->view_slots();
+  session_->DepartNow(leaver);
+  EXPECT_EQ(before - gossip_->view_slots(), per_view);
+
+  // Once everyone has departed, only the merge buffer is left.
+  const std::vector<NodeId> rest = session_->alive_members();
+  for (NodeId id : rest) session_->DepartNow(id);
+  ASSERT_EQ(session_->alive_count(), 0);
+  const std::size_t buffer = gossip_->view_slots();
+  EXPECT_GT(buffer, 0u);
+  EXPECT_LE(buffer,
+            per_view + static_cast<std::size_t>(params.exchange_size) + 1);
+  EXPECT_LE(slots, alive * per_view + buffer);
+}
+
+// Golden replay: the paper's stack at 2k members (ROST on the paper
+// topology, prepopulated, with arrivals) discovering peers over gossip for
+// 20 periods, twice the entry TTL, so prunes remove records. The digest
+// covers every alive member's view size and its whole view as KnownMembers
+// returns it (a shuffle, so it sees entry order and the service's draws),
+// plus the service's counters. A change that moves a gossip draw or a
+// view's contents or order changes the digest, and must record the new
+// one deliberately.
+TEST(GossipReplay, PaperStackViewsMatchGoldenDigest) {
+  rnd::Rng topo_rng(1);
+  const net::Topology topology =
+      net::Topology::Generate(net::PaperTopologyParams(), topo_rng);
+  sim::Simulator sim;
+  Session session(sim, topology,
+                  exp::MakeProtocol(exp::Algorithm::kRost, core::RostParams{}),
+                  SessionParams{}, 21);
+  const GossipParams params;
+  GossipService gossip(session, params, 22);
+  session.SetMembershipOracle(&gossip);
+  session.Prepopulate(2000);
+  session.StartArrivals(exp::ArrivalRate(2000));
+  sim.RunUntil(20 * params.period_s);
+  ASSERT_GE(sim.now(), 2 * params.entry_ttl_s);
+
+  std::vector<NodeId> alive = session.alive_members();
+  std::sort(alive.begin(), alive.end());
+  util::RollingHash h;
+  for (NodeId id : alive) {
+    h.MixI64(id);
+    h.MixU64(gossip.ViewSize(id));
+    for (NodeId known : gossip.KnownMembers(session, id, 1000)) h.MixI64(known);
+  }
+  h.MixI64(gossip.exchanges_performed());
+  h.MixI64(gossip.dead_contacts());
+  h.MixI64(gossip.stale_rejections());
+  EXPECT_GT(gossip.exchanges_performed(), 20 * 1500);
+  EXPECT_GT(gossip.dead_contacts(), 0);
+  EXPECT_EQ(h.digest(), 0x68eeb8e5793c3473ULL) << std::hex << h.digest();
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ runner::CellResult RunOne(const net::Topology& topology,
     session.SetMembershipOracle(gossip.get());
   }
   metrics::MemberOutcomes outcomes(session);
-  metrics::TreeSnapshots snapshots(session, config.snapshot_interval_s);
+  metrics::TreeSnapshots snapshots(session, exp::kSnapshotIntervalS);
   const double t_end = config.warmup_s + config.measure_s;
   outcomes.SetWindow(config.warmup_s, t_end);
   snapshots.Start(config.warmup_s, t_end);

@@ -48,6 +48,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -380,14 +381,14 @@ class CellObservability {
   CellObservability(const Observability& options,
                     const runner::CellContext& cell)
       : options_(options), trace_(options.trace_dir, cell) {
-    if (options.profile) profiler_.emplace();
+    if (options.profile) profiler_ = std::make_unique<obs::SimProfiler>();
   }
 
   template <typename Config>
   void Wire(Config* config) {
     config->tracer = trace_.tracer();
     config->registry = &registry_;
-    config->profiler = profiler_ ? &*profiler_ : nullptr;
+    config->profiler = profiler_.get();
     config->timeseries_window_s = options_.timeseries_window_s;
     config->incident_analysis = true;
   }
@@ -406,7 +407,7 @@ class CellObservability {
   const Observability& options_;
   obs::Registry registry_;
   CellTraceStream trace_;
-  std::optional<obs::SimProfiler> profiler_;
+  std::unique_ptr<obs::SimProfiler> profiler_;
 };
 
 // Prints the merged dispatch profile once, after the grids, when --profile

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   // One tagged member per cell (as in the paper); reps take the edge off
   // the single-member anecdote. The trace is recorded as (t_min, value)
   // series in the cell result. The delay is sampled every
-  // ScenarioConfig::snapshot_interval_s (300 s).
+  // exp::kSnapshotIntervalS (300 s).
   runner::GridSpec spec;
   spec.figure = "fig06_member_disruptions";
   spec.title = "cumulative disruptions of a typical member";

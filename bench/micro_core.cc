@@ -295,15 +295,14 @@ void BM_GossipPeriod(benchmark::State& state) {
       sim, PaperTopology(),
       exp::MakeProtocol(exp::Algorithm::kMinDepth, core::RostParams{}),
       overlay::SessionParams{}, 3);
-  const overlay::GossipParams params;
-  overlay::GossipService gossip(session, params, 5);
+  overlay::GossipService gossip(session, overlay::GossipParams{}, 5);
   session.SetMembershipOracle(&gossip);
   session.Prepopulate(static_cast<int>(state.range(0)));
   // Every member has ticked: views are past their bootstrap.
-  sim.RunUntil(params.period_s);
+  sim.RunUntil(overlay::kGossipPeriodS);
   const std::uint64_t events_before = sim.executed_count();
   for (auto _ : state) {
-    sim.RunUntil(sim.now() + params.period_s);
+    sim.RunUntil(sim.now() + overlay::kGossipPeriodS);
     benchmark::DoNotOptimize(gossip.exchanges_performed());
   }
   state.SetItemsProcessed(

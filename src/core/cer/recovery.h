@@ -24,6 +24,17 @@
 
 namespace omcast::core {
 
+// The paper's stream and outage numbers (Section 6): a 10 pkt/s stream, 5 s
+// to detect a parent failure and 10 s to find a new parent, and a residual
+// (helping) bandwidth uniform in [0, 9] pkt/s per member. The analytic model
+// (SimulateOutage, stream::StreamingLayer) and its per-packet ground truth
+// (stream::PacketLevelStream) take them from here.
+inline constexpr double kPaperPacketRate = 10.0;
+inline constexpr double kPaperDetectS = 5.0;
+inline constexpr double kPaperRejoinS = 10.0;
+inline constexpr double kPaperResidualLoPkts = 0.0;
+inline constexpr double kPaperResidualHiPkts = 9.0;
+
 // How the repair chain uses the recovery nodes' residual bandwidths.
 enum class RecoveryMode {
   kCooperative,   // CER: stripes aggregate until they cover the full rate
@@ -44,10 +55,10 @@ struct RecoverySource {
 };
 
 struct OutageSpec {
-  double detect_s = 5.0;
-  double rejoin_s = 10.0;
+  double detect_s = kPaperDetectS;
+  double rejoin_s = kPaperRejoinS;
   double buffer_s = 5.0;       // playback buffer == deadline slack
-  double packet_rate = 10.0;   // packets per second
+  double packet_rate = kPaperPacketRate;  // packets per second
   RecoveryMode mode = RecoveryMode::kCooperative;
   std::vector<RecoverySource> chain;
 };

@@ -115,7 +115,7 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
         "recovery.frames_late", obs::TimeSeries::Kind::kCounterRate, w);
     sampler.emplace(
         simulator, session, reg, w, t0,
-        t0 + config.stream_s + config.drain_s + config.settle_s,
+        t0 + config.stream_s + config.drain_s + kChaosSettleS,
         "chaos.timeseries",
         [&session, &stream, backlog, degraded, late,
          frames_late_seen = 0L](double wt) mutable {
@@ -225,7 +225,7 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
   std::vector<NodeId> adrift;
   for (NodeId id : session.alive_members())
     if (!session.tree().IsRooted(id)) adrift.push_back(id);
-  simulator.RunUntil(simulator.now() + config.settle_s);
+  simulator.RunUntil(simulator.now() + kChaosSettleS);
   // Final placement audit. A member still adrift here may simply be
   // mid-backoff behind a slot that freed moments ago, so it gets one
   // immediate attach attempt. Only a member the protocol refuses NOW is

@@ -35,6 +35,12 @@
 
 namespace omcast::exp {
 
+// Churn never stops, so a member whose parent died seconds before the drain
+// ends is legitimately (still) unrooted. Members found unrooted at drain end
+// get this long -- detection plus rejoin retries -- to recover; only the
+// ones still adrift afterwards count as failures.
+inline constexpr double kChaosSettleS = 30.0;
+
 struct ChaosConfig {
   int population = 200;       // steady-state size
   double warmup_s = 600.0;    // equilibration before the stream starts
@@ -43,11 +49,6 @@ struct ChaosConfig {
   // orphans finish rejoining. Should exceed rost.lock_lease_s and the
   // heartbeat suspicion timeout.
   double drain_s = 120.0;
-  // Churn never stops, so a member whose parent died seconds before the
-  // drain ends is legitimately (still) unrooted. Members found unrooted at
-  // drain end get this long -- detection plus rejoin retries -- to recover;
-  // only the ones still adrift afterwards count as failures.
-  double settle_s = 30.0;
   std::uint64_t seed = 1;
   Algorithm algorithm = Algorithm::kRost;
 

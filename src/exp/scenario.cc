@@ -80,7 +80,7 @@ TreeScenarioResult RunTreeScenario(const net::Topology& topology, Algorithm a,
   RunObservability observability(simulator, session, config.tracer,
                                  config.profiler, config.incident_analysis);
   metrics::MemberOutcomes outcomes(session);
-  metrics::TreeSnapshots snapshots(session, config.snapshot_interval_s);
+  metrics::TreeSnapshots snapshots(session, kSnapshotIntervalS);
 
   const double t_measure = config.warmup_s;
   const double t_end = config.warmup_s + config.measure_s;
@@ -166,7 +166,7 @@ TraceResult RunMemberTraceScenario(const net::Topology& topology, Algorithm a,
                            config.session, config.seed);
   RunObservability observability(simulator, session, config.tracer,
                                  config.profiler, /*incident_analysis=*/false);
-  metrics::MemberTrace trace(session, config.snapshot_interval_s);
+  metrics::MemberTrace trace(session, kSnapshotIntervalS);
 
   session.Prepopulate(config.population);
   session.StartArrivals(ArrivalRate(config.population));

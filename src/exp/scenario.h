@@ -55,6 +55,10 @@ inline double ArrivalRate(int population) {
   return static_cast<double>(population) / rnd::kMeanLifetimeSeconds;
 }
 
+// Interval of the tree snapshots (delay, stretch, depth, population) and of
+// the tagged member's delay samples.
+inline constexpr double kSnapshotIntervalS = 300.0;
+
 // Plain value type: runner cells copy one per cell and patch population /
 // seed, so scenario code must never stash pointers to a shared config.
 // The scenario runners below are thread-safe for concurrent calls *on
@@ -65,7 +69,6 @@ struct ScenarioConfig {
   double warmup_s = 1800.0;       // structure equilibration before measuring
   double measure_s = 3600.0;      // measurement window length
   std::uint64_t seed = 1;
-  double snapshot_interval_s = 300.0;
   core::RostParams rost;          // used when algorithm == kRost
   proto::CliqueParams clique;     // used when algorithm == kClique
   overlay::SessionParams session;

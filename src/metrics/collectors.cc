@@ -50,7 +50,7 @@ void TreeSnapshots::Snap(double end_s) {
   double max_layer = 0.0;
   int counted = 0;
   for (NodeId id : session_.alive_members()) {
-    if (!tree.InTree(id) || !tree.IsRooted(id)) continue;
+    if (!tree.IsRooted(id)) continue;
     delay_ms_.Add(session_.OverlayDelayMs(id));
     stretch_.Add(session_.Stretch(id));
     if (tree.Layer(id) > max_layer) max_layer = tree.Layer(id);
@@ -84,7 +84,7 @@ void MemberTrace::Track(NodeId id) {
 void MemberTrace::SampleDelay() {
   const overlay::Tree& tree = session_.tree();
   if (!tree.Alive(tracked_)) return;  // member departed; stop sampling
-  if (tree.InTree(tracked_) && tree.IsRooted(tracked_))
+  if (tree.IsRooted(tracked_))
     delays_.push_back(
         {session_.simulator().now(), session_.OverlayDelayMs(tracked_)});
   session_.simulator().ScheduleAfter(sample_interval_s_,

@@ -159,8 +159,8 @@ Topology Topology::Generate(const TopologyParams& params, rnd::Rng& rng) {
   for (int d = 0; d < params.transit_domains; ++d) {
     const int base = d * tn;
     for (const auto& e : ConnectedRandomGraph(
-             tn, params.intra_transit_edge_prob, params.tt_delay_lo,
-             params.tt_delay_hi, rng)) {
+             tn, kIntraTransitChordProb, kTransitTransitDelayLoMs,
+             kTransitTransitDelayHiMs, rng)) {
       core_edges.push_back({base + e.a, base + e.b, e.delay});
     }
   }
@@ -174,7 +174,8 @@ Topology Topology::Generate(const TopologyParams& params, rnd::Rng& rng) {
       const int a = da * tn + rng.UniformInt(0, tn - 1);
       const int b = db * tn + rng.UniformInt(0, tn - 1);
       core_edges.push_back(
-          {a, b, rng.Uniform(params.tt_delay_lo, params.tt_delay_hi)});
+          {a, b, rng.Uniform(kTransitTransitDelayLoMs,
+                             kTransitTransitDelayHiMs)});
     };
     for (int i = 0; i < params.transit_domains; ++i) {
       add_interdomain(order[i], order[(i + 1) % params.transit_domains]);
@@ -182,7 +183,7 @@ Topology Topology::Generate(const TopologyParams& params, rnd::Rng& rng) {
     }
     for (int i = 0; i < params.transit_domains; ++i)
       for (int j = i + 1; j < params.transit_domains; ++j)
-        if (rng.Bernoulli(params.inter_transit_edge_prob))
+        if (rng.Bernoulli(kInterTransitChordProb))
           add_interdomain(i, j);
   }
   // The core APSP is constant in host count (T^2 doubles); both delay
@@ -214,11 +215,11 @@ Topology Topology::Generate(const TopologyParams& params, rnd::Rng& rng) {
   for (int d = 0; d < t.num_stub_domains_; ++d) {
     const auto ud = static_cast<std::size_t>(d);
     const std::vector<LocalEdge> edges =
-        ConnectedRandomGraph(ns, params.intra_stub_edge_prob,
-                             params.ss_delay_lo, params.ss_delay_hi, rng);
+        ConnectedRandomGraph(ns, kIntraStubChordProb, kStubStubDelayLoMs,
+                             kStubStubDelayHiMs, rng);
     t.gateway_index_[ud] = rng.UniformInt(0, ns - 1);
     t.gateway_edge_delay_[ud] =
-        rng.Uniform(params.ts_delay_lo, params.ts_delay_hi);
+        rng.Uniform(kTransitStubDelayLoMs, kTransitStubDelayHiMs);
     if (landmark) {
       // Greedy farthest-point intra-domain landmarks, seeded at the gateway
       // so column 0 doubles as the exact host->gateway leg.

@@ -57,6 +57,22 @@ using HostId = int;
 // generate bit-identical graphs from the same seed.
 enum class DelayModel { kHierarchical, kLandmark };
 
+// Link-delay ranges in milliseconds (paper Section 5), each link's delay
+// drawn uniformly from its range.
+inline constexpr double kTransitTransitDelayLoMs = 15.0;
+inline constexpr double kTransitTransitDelayHiMs = 25.0;
+inline constexpr double kTransitStubDelayLoMs = 5.0;
+inline constexpr double kTransitStubDelayHiMs = 9.0;
+inline constexpr double kStubStubDelayLoMs = 2.0;
+inline constexpr double kStubStubDelayHiMs = 4.0;
+
+// Probability of an extra chord between a pair of nodes beyond the
+// connectivity-guaranteeing ring, within transit domains / between transit
+// domains / within stub domains.
+inline constexpr double kIntraTransitChordProb = 0.5;
+inline constexpr double kInterTransitChordProb = 0.5;
+inline constexpr double kIntraStubChordProb = 0.3;
+
 struct TopologyParams {
   int transit_domains = 12;
   int transit_nodes_per_domain = 20;
@@ -70,21 +86,6 @@ struct TopologyParams {
   // The flat validation edge list costs ~24 bytes/edge (~200 MB at 10^6
   // hosts); million-member sweeps switch it off.
   bool keep_flat_edges = true;
-
-  // Delay ranges in milliseconds (paper Section 5).
-  double tt_delay_lo = 15.0;
-  double tt_delay_hi = 25.0;
-  double ts_delay_lo = 5.0;
-  double ts_delay_hi = 9.0;
-  double ss_delay_lo = 2.0;
-  double ss_delay_hi = 4.0;
-
-  // Probability of an extra chord between a pair of nodes beyond the
-  // connectivity-guaranteeing ring, within transit domains / between transit
-  // domains / within stub domains.
-  double intra_transit_edge_prob = 0.5;
-  double inter_transit_edge_prob = 0.5;
-  double intra_stub_edge_prob = 0.3;
 };
 
 // The paper's 15,600-node instance.

@@ -7,15 +7,16 @@
 
 namespace omcast::overlay {
 
+static_assert(kGossipExchangeSize > 0, "gossip exchange must ship entries");
+static_assert(kGossipPeriodS > 0.0, "gossip period must be positive");
+
 GossipService::GossipService(Session& session, GossipParams params,
                              std::uint64_t seed)
     : session_(session), params_(params), rng_(seed) {
   util::Check(params_.view_size > 0, "gossip view must hold entries");
-  util::Check(params_.exchange_size > 0, "gossip exchange must ship entries");
-  util::Check(params_.period_s > 0.0, "gossip period must be positive");
   // The largest merge: a full view plus a bootstrap batch and the parent.
   merge_buffer_.reserve(static_cast<std::size_t>(params_.view_size) +
-                        static_cast<std::size_t>(params_.exchange_size) + 1);
+                        static_cast<std::size_t>(kGossipExchangeSize) + 1);
   session_.hooks().AddOnAttached(
       [this](NodeId id, NodeId parent) {
         Activate(id);
@@ -27,7 +28,7 @@ GossipService::GossipService(Session& session, GossipParams params,
         std::vector<Entry> bootstrap = {{parent, now}};
         for (NodeId m : rng_.SampleWithoutReplacementFrom(
                  session_.alive_members(),
-                 static_cast<std::size_t>(params_.exchange_size)))
+                 static_cast<std::size_t>(kGossipExchangeSize)))
           bootstrap.push_back({m, now});
         Merge(id, bootstrap);
         // The source keeps no view: it never ticks, and no member asks it
@@ -60,7 +61,7 @@ void GossipService::Activate(NodeId member) {
   view.active = true;
   // Desynchronize the first tick.
   view.timer = session_.simulator().ScheduleAfter(
-      rng_.Uniform(0.0, params_.period_s), [this, member] { Tick(member); },
+      rng_.Uniform(0.0, kGossipPeriodS), [this, member] { Tick(member); },
       "gossip.tick");
 }
 
@@ -79,9 +80,9 @@ void GossipService::Deactivate(NodeId member) {
 void GossipService::Prune(View& view, double now) {
   // Subtraction is monotone, so while the bound is within the TTL no entry
   // is past it: this skips exactly the scans that would remove nothing.
-  if (now - view.oldest <= params_.entry_ttl_s) return;
+  if (now - view.oldest <= kGossipEntryTtlS) return;
   std::erase_if(view.entries, [&](const Entry& e) {
-    return now - e.heard_at > params_.entry_ttl_s;
+    return now - e.heard_at > kGossipEntryTtlS;
   });
   view.oldest = std::numeric_limits<double>::infinity();
   for (const Entry& e : view.entries)
@@ -95,7 +96,7 @@ void GossipService::SampleSlice(NodeId member, std::vector<Entry>& slice) {
   Prune(view, session_.simulator().now());
   slice.assign(view.entries.begin(), view.entries.end());
   rng_.SampleWithoutReplacementInPlace(
-      slice, static_cast<std::size_t>(params_.exchange_size) - 1);
+      slice, static_cast<std::size_t>(kGossipExchangeSize) - 1);
   // A member always advertises itself with a fresh timestamp.
   slice.push_back({member, session_.simulator().now()});
 }
@@ -130,16 +131,14 @@ void GossipService::Merge(NodeId member, std::span<const Entry> incoming) {
     // Refuse entries that are already past the TTL: without this filter
     // stale records circulate between views as an epidemic, re-entering
     // each view faster than its periodic prune can remove them.
-    if (now - in.heard_at > params_.entry_ttl_s) {
+    if (now - in.heard_at > kGossipEntryTtlS) {
       ++stale_rejections_;
       continue;
     }
-    if (in.id == member || in.id == kRootId) {
-      if (in.id == member) continue;
-      // The source is implicitly known (bootstrap); keep it out of views so
-      // every view slot carries information.
-      continue;
-    }
+    // Self-records are ignored, and the source is implicitly known
+    // (bootstrap): keeping it out of views makes every view slot carry
+    // information.
+    if (in.id == member || in.id == kRootId) continue;
     const auto slot = static_cast<std::size_t>(in.id);
     if (slot < index_stamp_.size() && index_stamp_[slot] == merge_epoch_) {
       Entry& known = merged[index_pos_[slot]];
@@ -178,7 +177,7 @@ void GossipService::Tick(NodeId member) {
     std::vector<Entry> seed;
     for (NodeId m : rng_.SampleWithoutReplacementFrom(
              session_.alive_members(),
-             static_cast<std::size_t>(params_.exchange_size)))
+             static_cast<std::size_t>(kGossipExchangeSize)))
       seed.push_back({m, now});
     Merge(member, seed);
   }
@@ -206,7 +205,7 @@ void GossipService::Tick(NodeId member) {
     break;
   }
   view.timer = session_.simulator().ScheduleAfter(
-      params_.period_s, [this, member] { Tick(member); }, "gossip.tick");
+      kGossipPeriodS, [this, member] { Tick(member); }, "gossip.tick");
 }
 
 std::vector<NodeId> GossipService::KnownMembers(Session& session,

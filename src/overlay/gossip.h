@@ -38,11 +38,14 @@
 
 namespace omcast::overlay {
 
+// Exchange period, entries shipped per push-pull, and the age past which an
+// entry is pruned.
+inline constexpr double kGossipPeriodS = 30.0;
+inline constexpr int kGossipExchangeSize = 50;
+inline constexpr double kGossipEntryTtlS = 300.0;
+
 struct GossipParams {
-  int view_size = 100;       // max entries per member
-  double period_s = 30.0;    // exchange period
-  int exchange_size = 50;    // entries shipped per push-pull
-  double entry_ttl_s = 300.0;  // prune entries older than this
+  int view_size = 100;  // max entries per member
 };
 
 class GossipService final : public MembershipOracle {
@@ -64,7 +67,7 @@ class GossipService final : public MembershipOracle {
   std::size_t ViewSize(NodeId member) const;
   // Entry slots allocated across every view plus the merge buffer: at most
   // view_size per alive member that has a view, plus the buffer's
-  // view_size + exchange_size + 1.
+  // view_size + kGossipExchangeSize + 1.
   std::size_t view_slots() const;
   long exchanges_performed() const { return exchanges_; }
   long dead_contacts() const { return dead_contacts_; }
@@ -109,8 +112,8 @@ class GossipService final : public MembershipOracle {
   // Tick holds its member's view across calls that may append another
   // member's.
   std::deque<View> views_;
-  // Merge builds a view here (up to view_size + exchange_size + 1 entries)
-  // and copies the view_size survivors back.
+  // Merge builds a view here (up to view_size + kGossipExchangeSize + 1
+  // entries) and copies the view_size survivors back.
   std::vector<Entry> merge_buffer_;
   // The slices a push-pull exchange ships each way.
   std::vector<Entry> push_slice_;

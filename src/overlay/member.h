@@ -9,7 +9,7 @@
 // The Member record holds the COLD per-node state: identity, bandwidth and
 // BTP inputs, lifetime and the paper's per-member counters. The hot state
 // the protocols touch on every event -- tree links (parent / child list),
-// layer, liveness, in-tree flag and out-degree capacity -- lives in flat
+// layer, liveness and out-degree capacity -- lives in flat
 // arrays inside overlay::Tree (SoA, indexed by the dense NodeId), where a
 // churn scan walks contiguous memory instead of striding over ~100-byte
 // records; access it through Tree::Parent/Layer/Alive/InTree/Capacity/

@@ -59,8 +59,8 @@ net::HostId DrawRootHost(const net::Topology& topology, std::uint64_t seed) {
 }  // namespace
 
 void ValidateSessionParams(const SessionParams& params) {
-  util::Check(params.stream_rate > 0.0, "stream rate must be positive");
-  util::Check(params.root_bandwidth >= params.stream_rate,
+  // Bandwidth is in units of the stream rate (overlay/member.h).
+  util::Check(params.root_bandwidth >= 1.0,
               "the source must be able to feed at least one child");
   util::Check(params.candidate_sample_size >= 1,
               "joining needs at least one discovery candidate");

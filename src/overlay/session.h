@@ -104,8 +104,7 @@ class Protocol {
 };
 
 struct SessionParams {
-  double stream_rate = 1.0;
-  double root_bandwidth = 100.0;
+  double root_bandwidth = 100.0;  // in units of the stream rate
   // How many members a (re)joining node discovers via gossip (Section 3.3
   // uses "say, 100").
   int candidate_sample_size = 100;
@@ -145,8 +144,8 @@ inline const rnd::BoundedPareto kMemberBandwidthDist =
     rnd::PaperBandwidthDist();
 inline const rnd::LognormalDist kMemberLifetimeDist = rnd::PaperLifetimeDist();
 
-// Aborts unless the parameter combination is self-consistent (positive
-// rates, a root that can feed at least one child, sane retry/backoff
+// Aborts unless the parameter combination is self-consistent (a root that
+// can feed at least one child, positive delays, sane retry/backoff
 // bounds). Called by the Session constructor; exposed for tests.
 void ValidateSessionParams(const SessionParams& params);
 

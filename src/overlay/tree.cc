@@ -42,7 +42,6 @@ Tree::Tree(net::HostId root_host, double root_bandwidth) {
   layer_.push_back(0);
   capacity_.push_back(CapacityFor(root_bandwidth));
   alive_.push_back(1);
-  in_tree_.push_back(1);
 }
 
 NodeId Tree::CreateMember(net::HostId host, double bandwidth,
@@ -67,7 +66,6 @@ NodeId Tree::CreateMember(net::HostId host, double bandwidth,
   layer_.push_back(0);
   capacity_.push_back(CapacityFor(bandwidth));
   alive_.push_back(1);
-  in_tree_.push_back(0);
   return members_.back().id;
 }
 
@@ -124,7 +122,6 @@ void Tree::Attach(NodeId parent, NodeId child) {
   util::Check(IsRooted(parent), "parent must be connected to the root");
   AppendChild(parent, child);
   parent_[static_cast<std::size_t>(child)] = parent;
-  in_tree_[static_cast<std::size_t>(child)] = 1;
   // The newest child is the first of its parent's children on the thread:
   // splice the fragment's whole thread in right after the parent.
   const auto last = static_cast<std::size_t>(SubtreeLast(child));
@@ -148,7 +145,6 @@ void Tree::Detach(NodeId child) {
   preorder_next_[last] = kNoNode;
   UnlinkChild(parent, child);
   parent_[static_cast<std::size_t>(child)] = kNoNode;
-  in_tree_[static_cast<std::size_t>(child)] = 0;
   if (edge_observer_ != nullptr) edge_observer_->OnEdgeRemoved(parent, child);
 }
 
@@ -161,14 +157,12 @@ std::vector<NodeId> Tree::RemoveFromTree(NodeId id) {
     parent_[ci] = kNoNode;
     prev_sibling_[ci] = kNoNode;
     next_sibling_[ci] = kNoNode;
-    in_tree_[ci] = 0;
   }
   const auto i = static_cast<std::size_t>(id);
   first_child_[i] = kNoNode;
   last_child_[i] = kNoNode;
   preorder_next_[i] = kNoNode;
   child_count_[i] = 0;
-  in_tree_[i] = 0;
   if (edge_observer_ != nullptr)
     for (NodeId c : orphans) edge_observer_->OnEdgeRemoved(id, c);
   return orphans;
@@ -232,8 +226,7 @@ int Tree::SharedPathEdges(NodeId a, NodeId b) const {
 int Tree::Depth() const {
   int depth = 0;
   for (std::size_t i = 0; i < members_.size(); ++i)
-    if (alive_[i] != 0 && in_tree_[i] != 0 &&
-        IsRooted(static_cast<NodeId>(i)))
+    if (alive_[i] != 0 && IsRooted(static_cast<NodeId>(i)))
       depth = std::max(depth, static_cast<int>(layer_[i]));
   return depth;
 }
@@ -270,7 +263,7 @@ void Tree::CheckInvariants() const {
       util::Check(Alive(c), "dead member still attached");
       util::Check(prev_sibling_[static_cast<std::size_t>(c)] == prev,
                   "sibling links out of sync");
-      if (InTree(id) && IsRooted(id))
+      if (IsRooted(id))
         util::Check(Layer(c) == Layer(id) + 1, "layer must be parent's + 1");
       prev = c;
       ++counted;

@@ -6,7 +6,7 @@
 // parent.layer + 1, and attach never creates a cycle.
 //
 // Storage is struct-of-arrays: the hot per-node fields (parent link, child
-// list, layer, liveness, in-tree flag, capacity) are flat vectors indexed by
+// list, layer, liveness, capacity) are flat vectors indexed by
 // the dense NodeId, sized for 10^6 members -- the cold Member records sit in
 // a parallel vector behind Get(). The child list is an intrusive doubly
 // linked list (first/last child + prev/next sibling per node): appends go to
@@ -80,10 +80,9 @@ class Tree {
     return alive_[static_cast<std::size_t>(id)] != 0;
   }
   // False while the member is (re)joining; an orphaned fragment root keeps
-  // its children but has Parent() == kNoNode.
+  // its children but has Parent() == kNoNode. The root is always in.
   bool InTree(NodeId id) const {
-    CheckId(id);
-    return in_tree_[static_cast<std::size_t>(id)] != 0;
+    return id == kRootId || Parent(id) != kNoNode;
   }
   // Out-degree constraint, floor(bandwidth) at creation.
   int Capacity(NodeId id) const {
@@ -263,7 +262,6 @@ class Tree {
   std::vector<std::int32_t> layer_;
   std::vector<std::int32_t> capacity_;
   std::vector<std::uint8_t> alive_;
-  std::vector<std::uint8_t> in_tree_;
   EdgeObserver* edge_observer_ = nullptr;  // not owned
 };
 

@@ -144,8 +144,7 @@ bool CliqueProtocol::AttachWithinCluster(Session& session, NodeId id) {
   local.reserve(c.members.size());
   for (NodeId m : c.members) {
     if (m == id) continue;
-    if (!tree.Alive(m) || !tree.InTree(m)) continue;
-    if (!tree.IsRooted(m)) continue;
+    if (!tree.Alive(m) || !tree.IsRooted(m)) continue;
     if (tree.IsInSubtreeOf(m, id)) continue;
     local.push_back(m);
   }
@@ -391,8 +390,8 @@ void CliqueProtocol::RunElection(Session& session) {
     // the incumbent's by the margin (and that has a slot to adopt it into)
     // takes the seat.
     const NodeId seat = c.delegate;
-    if (seat != kNoNode && tree.Alive(seat) && tree.InTree(seat) &&
-        tree.IsRooted(seat) && tree.Parent(seat) != kNoNode) {
+    if (seat != kNoNode && tree.Alive(seat) && tree.IsRooted(seat) &&
+        tree.Parent(seat) != kNoNode) {
       NodeId challenger = kNoNode;
       for (NodeId m : tree.ChildrenOf(seat)) {
         if (ClusterOf(m) != cid || m == seat) continue;

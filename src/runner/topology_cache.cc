@@ -22,15 +22,6 @@ std::uint64_t ParamsKey(const net::TopologyParams& p, std::uint64_t seed) {
   h.MixI64(p.transit_nodes_per_domain);
   h.MixI64(p.stub_domains_per_transit_node);
   h.MixI64(p.nodes_per_stub_domain);
-  h.MixDouble(p.tt_delay_lo);
-  h.MixDouble(p.tt_delay_hi);
-  h.MixDouble(p.ts_delay_lo);
-  h.MixDouble(p.ts_delay_hi);
-  h.MixDouble(p.ss_delay_lo);
-  h.MixDouble(p.ss_delay_hi);
-  h.MixDouble(p.intra_transit_edge_prob);
-  h.MixDouble(p.inter_transit_edge_prob);
-  h.MixDouble(p.intra_stub_edge_prob);
   h.MixI64(static_cast<std::int64_t>(p.delay_model));
   h.MixI64(p.intra_landmarks);
   h.MixI64(p.keep_flat_edges ? 1 : 0);
@@ -42,12 +33,6 @@ bool SameParams(const net::TopologyParams& a, const net::TopologyParams& b) {
          a.transit_nodes_per_domain == b.transit_nodes_per_domain &&
          a.stub_domains_per_transit_node == b.stub_domains_per_transit_node &&
          a.nodes_per_stub_domain == b.nodes_per_stub_domain &&
-         a.tt_delay_lo == b.tt_delay_lo && a.tt_delay_hi == b.tt_delay_hi &&
-         a.ts_delay_lo == b.ts_delay_lo && a.ts_delay_hi == b.ts_delay_hi &&
-         a.ss_delay_lo == b.ss_delay_lo && a.ss_delay_hi == b.ss_delay_hi &&
-         a.intra_transit_edge_prob == b.intra_transit_edge_prob &&
-         a.inter_transit_edge_prob == b.inter_transit_edge_prob &&
-         a.intra_stub_edge_prob == b.intra_stub_edge_prob &&
          a.delay_model == b.delay_model &&
          a.intra_landmarks == b.intra_landmarks &&
          a.keep_flat_edges == b.keep_flat_edges;

@@ -15,7 +15,6 @@ constexpr std::size_t kMinBuckets = 16;
 // Bucket-count ceiling: 2M vector headers are ~50MB, enough days for tens of
 // millions of pending events at occupancy ~8 before the cap binds.
 constexpr std::size_t kMaxBuckets = std::size_t{1} << 21;
-constexpr std::size_t kMinMapCells = 32;
 constexpr std::size_t kWidthSampleCap = 1024;
 
 std::size_t NextPow2(std::size_t n) {
@@ -24,22 +23,11 @@ std::size_t NextPow2(std::size_t n) {
   return p;
 }
 
-// splitmix64 finalizer: event ids are sequential, so the map needs a real
-// mixer to avoid clustering every probe sequence.
-std::uint64_t HashId(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 CalendarQueue::CalendarQueue() {
   buckets_.resize(kMinBuckets);
   bucket_mask_ = kMinBuckets - 1;
-  map_.resize(kMinMapCells);
-  map_mask_ = kMinMapCells - 1;
 }
 
 std::int32_t CalendarQueue::AllocSlot() {
@@ -58,6 +46,7 @@ std::int32_t CalendarQueue::AllocSlot() {
 void CalendarQueue::FreeSlot(std::int32_t slot) {
   Event& ev = slab_[static_cast<std::size_t>(slot)];
   ev.cb = nullptr;  // release the closure's captures now, not at slab reuse
+  ev.seq = kFreeSeq;  // no handle matches a free slot
   ev.tag = nullptr;
   ev.prev = -1;
   ev.next = free_head_;  // `next` doubles as the free-list link
@@ -102,18 +91,15 @@ void CalendarQueue::TrimBucket(std::vector<Entry>& bucket) {
   bucket_slots_ += bucket.capacity();
 }
 
-void CalendarQueue::Insert(Time time, std::uint64_t seq, std::uint64_t id,
-                           const char* tag, Callback cb) {
-  OMCAST_DCHECK(MapFind(id, /*erase=*/false) < 0,
-                "event id is already pending");
+std::int32_t CalendarQueue::Insert(Time time, std::uint64_t seq,
+                                   const char* tag, Callback cb) {
+  OMCAST_DCHECK(seq != kFreeSeq, "the free-slot seq cannot be inserted");
   const std::int32_t slot = AllocSlot();
   Event& ev = slab_[static_cast<std::size_t>(slot)];
   ev.cb = std::move(cb);
   ev.time = time;
   ev.seq = seq;
-  ev.id = id;
   ev.tag = tag;
-  MapInsert(id, slot);
   const std::uint64_t day = static_cast<std::uint64_t>(time * inv_width_);
   BucketInsert(static_cast<std::size_t>(day) & bucket_mask_, time, slot);
   // Keep the dispatch scan at or before the earliest event: RunUntil may
@@ -122,11 +108,11 @@ void CalendarQueue::Insert(Time time, std::uint64_t seq, std::uint64_t id,
   if (live_ == 0 || day < cur_day_) cur_day_ = day;
   ++live_;
   MaybeResizeAfterInsert();
+  return slot;
 }
 
-bool CalendarQueue::Erase(std::uint64_t id) {
-  const std::int32_t slot = MapFind(id, /*erase=*/true);
-  if (slot < 0) return false;
+bool CalendarQueue::Erase(std::uint64_t seq, std::int32_t slot) {
+  if (!Contains(seq, slot)) return false;
   Event& ev = slab_[static_cast<std::size_t>(slot)];
   if (ev.prev >= 0 && ev.next >= 0) {
     // Mid-chain: unlink without touching the bucket at all.
@@ -154,10 +140,6 @@ bool CalendarQueue::Erase(std::uint64_t id) {
   --live_;
   MaybeResizeAfterErase();
   return true;
-}
-
-bool CalendarQueue::Contains(std::uint64_t id) const {
-  return const_cast<CalendarQueue*>(this)->MapFind(id, /*erase=*/false) >= 0;
 }
 
 std::size_t CalendarQueue::FindMinBucket() {
@@ -206,8 +188,8 @@ Time CalendarQueue::PeekTime() {
   return buckets_[FindMinBucket()].back().time;
 }
 
-void CalendarQueue::PopMin(Time* time, std::uint64_t* seq, std::uint64_t* id,
-                           const char** tag, Callback* cb) {
+void CalendarQueue::PopMin(Time* time, std::uint64_t* seq, const char** tag,
+                           Callback* cb) {
   util::Check(live_ > 0, "PopMin on an empty queue");
   std::vector<Entry>& b = buckets_[FindMinBucket()];
   Entry& min_entry = b.back();
@@ -222,12 +204,8 @@ void CalendarQueue::PopMin(Time* time, std::uint64_t* seq, std::uint64_t* id,
   }
   *time = ev.time;
   *seq = ev.seq;
-  *id = ev.id;
   *tag = ev.tag;
   *cb = std::move(ev.cb);
-  const std::int32_t mapped = MapFind(ev.id, /*erase=*/true);
-  OMCAST_DCHECK(mapped == slot, "id map out of sync with the event slab");
-  static_cast<void>(mapped);
   FreeSlot(slot);
   --live_;
   ++pops_;
@@ -328,56 +306,6 @@ void CalendarQueue::MaybeResizeAfterInsert() {
 void CalendarQueue::MaybeResizeAfterErase() {
   if (live_ < (bucket_mask_ + 1) / 4 && bucket_mask_ + 1 > kMinBuckets)
     Rebuild();
-}
-
-void CalendarQueue::MapInsert(std::uint64_t id, std::int32_t slot) {
-  if ((map_used_ + 1) * 2 > map_.size()) MapGrow();
-  std::size_t pos = static_cast<std::size_t>(HashId(id)) & map_mask_;
-  while (map_[pos].id != 0) pos = (pos + 1) & map_mask_;
-  map_[pos] = MapCell{id, slot};
-  ++map_used_;
-}
-
-std::int32_t CalendarQueue::MapFind(std::uint64_t id, bool erase) {
-  std::size_t pos = static_cast<std::size_t>(HashId(id)) & map_mask_;
-  while (map_[pos].id != 0) {
-    if (map_[pos].id == id) {
-      const std::int32_t slot = map_[pos].slot;
-      if (erase) {
-        // Backward-shift deletion: pull every displaced successor in the
-        // probe chain back over the hole so lookups never need tombstones.
-        std::size_t hole = pos;
-        std::size_t next = (hole + 1) & map_mask_;
-        while (map_[next].id != 0) {
-          const std::size_t home =
-              static_cast<std::size_t>(HashId(map_[next].id)) & map_mask_;
-          if (((next - home) & map_mask_) >= ((next - hole) & map_mask_)) {
-            map_[hole] = map_[next];
-            hole = next;
-          }
-          next = (next + 1) & map_mask_;
-        }
-        map_[hole] = MapCell{};
-        --map_used_;
-      }
-      return slot;
-    }
-    pos = (pos + 1) & map_mask_;
-  }
-  return -1;
-}
-
-void CalendarQueue::MapGrow() {
-  std::vector<MapCell> old = std::move(map_);
-  const std::size_t new_size = std::max(kMinMapCells, old.size() * 2);
-  map_.assign(new_size, MapCell{});
-  map_mask_ = new_size - 1;
-  for (const MapCell& cell : old) {
-    if (cell.id == 0) continue;
-    std::size_t pos = static_cast<std::size_t>(HashId(cell.id)) & map_mask_;
-    while (map_[pos].id != 0) pos = (pos + 1) & map_mask_;
-    map_[pos] = cell;
-  }
 }
 
 }  // namespace omcast::sim

@@ -23,15 +23,16 @@
 // bucket that kept its high-water capacity would leave the whole calendar
 // sized for that crest long after it passed. Bucket storage stays within
 // four Entries per pending event.
-// The id -> slot mapping needed for cancellation is an open-addressing table
-// with backward-shift deletion -- deterministic, iteration-free and
-// allocation-free at steady state (std::unordered_* would heap-allocate a
-// node per pending event, which is precisely the churn this queue removes).
+// An event is addressed by its (seq, slot) pair: Insert returns the slot,
+// and Erase/Contains match the slot's seq against the caller's. A freed
+// slot's seq is stamped kFreeSeq, which no insert uses, and a seq is never
+// inserted twice, so a pair whose event fired or was cancelled never matches
+// again -- not even after the LIFO free list hands its slot to a later event.
 //
 // Determinism: width estimation and resizing depend only on the pending set
 // (sampled time gaps and operation counters), never on wall clock or RNG, so
 // two runs that schedule identical (time, seq) streams make identical
-// resizing decisions. Event ids are assigned by the Simulator in seq order.
+// resizing decisions; slots are reused in a fixed (LIFO) order.
 // tests/test_calendar_queue.cc drives this queue and a binary-heap
 // reference through identical operation streams and requires identical
 // pops.
@@ -40,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 namespace omcast::sim {
@@ -66,24 +68,33 @@ class CalendarQueue {
   CalendarQueue(const CalendarQueue&) = delete;
   CalendarQueue& operator=(const CalendarQueue&) = delete;
 
-  // Inserts an event. (time, seq) must be unique per event (seq strictly
-  // increasing across all inserts); `id` must not currently be pending.
-  void Insert(Time time, std::uint64_t seq, std::uint64_t id, const char* tag,
-              Callback cb);
+  // A seq no insert may use: it marks a free slab slot.
+  static constexpr std::uint64_t kFreeSeq =
+      std::numeric_limits<std::uint64_t>::max();
 
-  // Removes the pending event `id`. Returns false if no such event pends.
-  bool Erase(std::uint64_t id);
+  // Inserts an event and returns the slab slot it occupies while pending.
+  // seq must strictly increase across all inserts and differ from kFreeSeq.
+  std::int32_t Insert(Time time, std::uint64_t seq, const char* tag,
+                      Callback cb);
 
-  // True if `id` is pending.
-  bool Contains(std::uint64_t id) const;
+  // Removes the event that Insert gave (seq, slot). Returns false if that
+  // event no longer pends (it fired or was cancelled).
+  bool Erase(std::uint64_t seq, std::int32_t slot);
+
+  // True if the event that Insert gave (seq, slot) is pending. A slot
+  // outside the slab is never pending.
+  bool Contains(std::uint64_t seq, std::int32_t slot) const {
+    return slot >= 0 && static_cast<std::size_t>(slot) < slab_.size() &&
+           slab_[static_cast<std::size_t>(slot)].seq == seq;
+  }
 
   // Time of the earliest pending event. Requires !empty().
   Time PeekTime();
 
   // Pops the earliest pending event -- minimum (time, seq) -- into the out
   // parameters. Requires !empty(). `tag` may be nullptr.
-  void PopMin(Time* time, std::uint64_t* seq, std::uint64_t* id,
-              const char** tag, Callback* cb);
+  void PopMin(Time* time, std::uint64_t* seq, const char** tag,
+              Callback* cb);
 
   bool empty() const { return live_ == 0; }
   std::size_t size() const { return live_; }
@@ -93,8 +104,7 @@ class CalendarQueue {
   struct Event {
     Callback cb;
     Time time = 0.0;
-    std::uint64_t seq = 0;
-    std::uint64_t id = 0;
+    std::uint64_t seq = kFreeSeq;
     const char* tag = nullptr;  // profiling label; not owned
     // Doubly-linked chain of equal-time events in one bucket Entry, in
     // insertion (= seq) order. While the slot is on the free list, `next`
@@ -109,10 +119,6 @@ class CalendarQueue {
     Time time = 0.0;
     std::int32_t head = -1;
     std::int32_t tail = -1;
-  };
-  struct MapCell {
-    std::uint64_t id = 0;   // 0 = empty (the simulator never issues id 0)
-    std::int32_t slot = -1;
   };
 
   std::int32_t AllocSlot();
@@ -133,13 +139,6 @@ class CalendarQueue {
   void MaybeResizeAfterInsert();
   void MaybeResizeAfterErase();
 
-  // id -> slot open-addressing table (linear probing, backward-shift
-  // deletion). Capacity is a power of two >= 2 * live.
-  void MapInsert(std::uint64_t id, std::int32_t slot);
-  // Returns the slot for `id`, or -1. If `erase`, removes the mapping.
-  std::int32_t MapFind(std::uint64_t id, bool erase);
-  void MapGrow();
-
   std::vector<Event> slab_;
   std::int32_t free_head_ = -1;
   std::vector<std::vector<Entry>> buckets_;
@@ -151,9 +150,6 @@ class CalendarQueue {
   // drained. Inserts rewind it; FindMinBucket advances it.
   std::uint64_t cur_day_ = 0;
   std::size_t live_ = 0;
-  std::vector<MapCell> map_;
-  std::size_t map_mask_ = 0;
-  std::size_t map_used_ = 0;
   // Scan-cost trigger: a calendar whose width no longer matches the live
   // distribution walks many empty buckets per pop; when the walk-to-pop
   // ratio degenerates the queue re-estimates the width. Counts, not clocks.

@@ -11,9 +11,8 @@ EventId Simulator::ScheduleAt(Time t, Callback cb, const char* tag) {
   util::Check(t >= now_, "cannot schedule an event in the past");
   util::Check(static_cast<bool>(cb), "event callback must be callable");
   OMCAST_DCHECK(t == t, "event time must not be NaN");
-  const std::uint64_t id = next_id_++;
-  calendar_.Insert(t, next_seq_++, id, tag, std::move(cb));
-  return EventId{id};
+  const std::uint64_t seq = next_seq_++;
+  return EventId{seq + 1, calendar_.Insert(t, seq, tag, std::move(cb))};
 }
 
 EventId Simulator::ScheduleAfter(Time delay, Callback cb, const char* tag) {
@@ -25,18 +24,18 @@ bool Simulator::Cancel(EventId id) {
   // Cancelling a handle the simulator never issued is a bookkeeping bug in
   // the caller (a stale copy from another simulator, or uninitialized state);
   // kInvalidEventId is the documented "nothing scheduled" value and is fine.
-  OMCAST_DCHECK(id.value < next_id_, "Cancel: event id was never issued");
+  OMCAST_DCHECK(id.value <= next_seq_, "Cancel: event id was never issued");
   if (id.value == 0) return false;
-  return calendar_.Erase(id.value);
+  return calendar_.Erase(id.value - 1, id.slot);
 }
 
 bool Simulator::IsPending(EventId id) const {
-  OMCAST_DCHECK(id.value < next_id_, "IsPending: event id was never issued");
-  return id.value != 0 && calendar_.Contains(id.value);
+  OMCAST_DCHECK(id.value <= next_seq_, "IsPending: event id was never issued");
+  return id.value != 0 && calendar_.Contains(id.value - 1, id.slot);
 }
 
-void Simulator::Dispatch(Time time, std::uint64_t seq, std::uint64_t id,
-                         const char* tag, Callback cb) {
+void Simulator::Dispatch(Time time, std::uint64_t seq, const char* tag,
+                         Callback cb) {
   // The queue must hand events over in non-decreasing time, FIFO at equal
   // times: the bit-reproducibility of every run rests on this ordering.
   OMCAST_DCHECK(time >= now_, "event queue must be time-monotonic");
@@ -48,7 +47,7 @@ void Simulator::Dispatch(Time time, std::uint64_t seq, std::uint64_t id,
   last_seq_at_now_ = seq;
   now_ = time;
   ++executed_;
-  if (trace_) trace_(time, id);
+  if (trace_) trace_(time, seq + 1);
   if (profiler_ != nullptr) {
     // Memory is sampled, not polled: getrusage once per event would dominate
     // the very hot path this profiler exists to measure.
@@ -68,11 +67,10 @@ bool Simulator::RunOne() {
   if (calendar_.empty()) return false;
   Time time = 0.0;
   std::uint64_t seq = 0;
-  std::uint64_t id = 0;
   const char* tag = nullptr;
   Callback cb;
-  calendar_.PopMin(&time, &seq, &id, &tag, &cb);
-  Dispatch(time, seq, id, tag, std::move(cb));
+  calendar_.PopMin(&time, &seq, &tag, &cb);
+  Dispatch(time, seq, tag, std::move(cb));
   return true;
 }
 

@@ -12,7 +12,10 @@
 // increase in (time, id); replay digests hash those pairs.
 //
 // Cancellation is by EventId: timers such as ROST's per-node switching checks
-// or CER repair timeouts are cancelled when the owning node departs.
+// or CER repair timeouts are cancelled when the owning node departs. An
+// EventId carries the event's id and the calendar slot it occupies, so
+// Cancel and IsPending look the slot up directly; the id makes the handle
+// exact, because no later event ever has the same one.
 #pragma once
 
 #include <cstdint>
@@ -27,14 +30,18 @@ class SimProfiler;
 
 namespace omcast::sim {
 
-// Opaque handle for a scheduled event; value-semantic and cheap to copy.
+// Handle for a scheduled event; value-semantic and cheap to copy. `value`
+// is the event's 1-based scheduling number (its id: the trace observer sees
+// it, and equality compares it); `slot` is where the calendar keeps the
+// event while it pends.
 struct EventId {
   std::uint64_t value = 0;
+  std::int32_t slot = -1;
   friend bool operator==(EventId a, EventId b) { return a.value == b.value; }
 };
 
 // Returned by EventId-producing calls that may be "nothing scheduled".
-inline constexpr EventId kInvalidEventId{0};
+inline constexpr EventId kInvalidEventId{};
 
 class Simulator {
  public:
@@ -106,12 +113,12 @@ class Simulator {
   bool RunOne();
   // Executes one popped event: clock advance, ordering DCHECKs, trace hook,
   // profiler bracketing.
-  void Dispatch(Time time, std::uint64_t seq, std::uint64_t id,
-                const char* tag, Callback cb);
+  void Dispatch(Time time, std::uint64_t seq, const char* tag, Callback cb);
 
   Time now_ = 0.0;
+  // Scheduling number of the next event; its id is next_seq_ + 1, since 0 is
+  // kInvalidEventId.
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;  // 0 is kInvalidEventId
   std::uint64_t executed_ = 0;
   // Sequence number of the most recently executed event at the current
   // instant; used by the DCHECK tier to assert FIFO order at equal times.

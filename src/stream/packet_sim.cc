@@ -13,6 +13,14 @@ using overlay::Member;
 using overlay::NodeId;
 using overlay::Session;
 
+static_assert(kRegimeWindowS > 0.0, "regime judgment window must be positive");
+static_assert(kDegradedExit >= 0.0 && kDegradedExit < kDegradedEnter,
+              "degraded hysteresis needs 0 <= exit < enter");
+static_assert(kDegradedEnter <= kStalledEnter && kStalledEnter <= 1.0,
+              "stalled threshold must dominate the degraded one");
+static_assert(kStalledExit >= kDegradedExit && kStalledExit < kStalledEnter,
+              "stalled hysteresis needs degraded exit <= exit < enter");
+
 void ValidatePacketSimParams(const PacketSimParams& params) {
   util::Check(params.packet_rate > 0.0, "packet rate must be positive");
   util::Check(params.buffer_s > 0.0, "playback buffer must be positive");
@@ -27,17 +35,6 @@ void ValidatePacketSimParams(const PacketSimParams& params) {
               "a GOP needs a reference and at least one dependent frame");
   util::Check(params.warmup_absorb_s >= 0.0,
               "warmup absorb window cannot be negative");
-  util::Check(params.regime_window_s > 0.0,
-              "regime judgment window must be positive");
-  util::Check(params.degraded_exit >= 0.0 &&
-                  params.degraded_exit < params.degraded_enter,
-              "degraded hysteresis needs 0 <= exit < enter");
-  util::Check(params.degraded_enter <= params.stalled_enter &&
-                  params.stalled_enter <= 1.0,
-              "stalled threshold must dominate the degraded one");
-  util::Check(params.stalled_exit >= params.degraded_exit &&
-                  params.stalled_exit < params.stalled_enter,
-              "stalled hysteresis needs degraded_exit <= exit < enter");
 }
 
 PacketLevelStream::PacketLevelStream(Session& session, PacketSimParams params,
@@ -101,7 +98,7 @@ PacketLevelStream::Reception& PacketLevelStream::ReceptionFor(NodeId member,
       r.playback.next_judge = r.first_seq;
       r.playback.regime_since = now;
       r.playback.tick = session_.simulator().ScheduleAfter(
-          params_.regime_window_s, [this, member] { JudgeWindow(member); },
+          kRegimeWindowS, [this, member] { JudgeWindow(member); },
           "stream.playback");
     }
     it = rx_.emplace(member, std::move(r)).first;
@@ -198,17 +195,17 @@ void PacketLevelStream::JudgeWindow(NodeId member) {
     const double frac = static_cast<double>(bad) / static_cast<double>(judged);
     int target = pb.regime;
     if (pb.regime == 2) {
-      target = frac >= params_.stalled_exit ? 2
-               : frac > params_.degraded_exit ? 1
-                                              : 0;
+      target = frac >= kStalledExit   ? 2
+               : frac > kDegradedExit ? 1
+                                      : 0;
     } else if (pb.regime == 1) {
-      target = frac >= params_.stalled_enter ? 2
-               : frac > params_.degraded_exit ? 1
-                                              : 0;
+      target = frac >= kStalledEnter  ? 2
+               : frac > kDegradedExit ? 1
+                                      : 0;
     } else {
-      target = frac >= params_.stalled_enter    ? 2
-               : frac >= params_.degraded_enter ? 1
-                                                : 0;
+      target = frac >= kStalledEnter    ? 2
+               : frac >= kDegradedEnter ? 1
+                                        : 0;
     }
     if (target != pb.regime) SetRegime(member, target);
   }
@@ -216,7 +213,7 @@ void PacketLevelStream::JudgeWindow(NodeId member) {
   // is stream_end_ + buffer_s); otherwise tick again one window later.
   if (pb.next_judge <= last_seq_)
     pb.tick = session_.simulator().ScheduleAfter(
-        params_.regime_window_s, [this, member] { JudgeWindow(member); },
+        kRegimeWindowS, [this, member] { JudgeWindow(member); },
         "stream.playback");
 }
 
@@ -379,7 +376,7 @@ void PacketLevelStream::OnDeparture(NodeId failed) {
     for (NodeId g : group) {
       latency += session_.DelayMs(prev, g) / 1000.0;
       prev = g;
-      const bool usable = tree.Alive(g) && tree.InTree(g) &&
+      const bool usable = tree.Alive(g) &&
                           !tree.IsInSubtreeOf(g, failed) && tree.IsRooted(g);
       if (!usable) continue;
       const double rate = ResidualFraction(g);

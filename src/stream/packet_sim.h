@@ -42,17 +42,17 @@
 namespace omcast::stream {
 
 struct PacketSimParams {
-  double packet_rate = 10.0;
+  double packet_rate = core::kPaperPacketRate;
   double buffer_s = 5.0;
   // Failure-detection time: recovery starts this long after the parent
   // died. The total outage (detection + rejoin) is the session's
   // rejoin_delay_s, which must be >= detect_s.
-  double detect_s = 5.0;
+  double detect_s = core::kPaperDetectS;
   int recovery_group_size = 3;
   core::GroupSelection selection = core::GroupSelection::kMlc;
   core::RecoveryMode mode = core::RecoveryMode::kCooperative;
-  double residual_lo_pkts = 0.0;
-  double residual_hi_pkts = 9.0;
+  double residual_lo_pkts = core::kPaperResidualLoPkts;
+  double residual_hi_pkts = core::kPaperResidualHiPkts;
 
   // --- frame-dependency playback (degraded-regime model) -------------------
   // When on, packets form GOPs: seq % gop_size == 0 is a reference frame,
@@ -60,7 +60,7 @@ struct PacketSimParams {
   // its deadline but whose reference did not is a DECODE STALL -- distinct
   // from packet loss, and exactly what a rejoining member landing mid-GOP
   // suffers until the next reference. Each receiver's playback is judged in
-  // regime_window_s windows and tracked through a nominal/degraded/stalled
+  // kRegimeWindowS windows and tracked through a nominal/degraded/stalled
   // regime machine with hysteresis. Enabling this adds NO RNG draws, so
   // fault schedules and protocol digests are unchanged when it is off.
   bool frame_playback = false;
@@ -69,16 +69,18 @@ struct PacketSimParams {
   // seconds of the member's first reception are absorbed (not counted, not
   // traced) -- a joiner is expected to stall until its first reference.
   double warmup_absorb_s = 2.0;
-  // Judgment window length (also the tick period of the per-member chain).
-  double regime_window_s = 1.0;
-  // Hysteresis thresholds on the window's bad-frame fraction (losses plus
-  // unabsorbed decode stalls). enter > exit keeps the regime from
-  // flickering at a threshold.
-  double degraded_enter = 0.25;
-  double degraded_exit = 0.10;
-  double stalled_enter = 0.75;
-  double stalled_exit = 0.40;
 };
+
+// Frame-playback judgment window length (also the tick period of the
+// per-member chain).
+inline constexpr double kRegimeWindowS = 1.0;
+// Hysteresis thresholds on the window's bad-frame fraction (losses plus
+// unabsorbed decode stalls). enter > exit keeps the regime from flickering
+// at a threshold.
+inline constexpr double kDegradedEnter = 0.25;
+inline constexpr double kDegradedExit = 0.10;
+inline constexpr double kStalledEnter = 0.75;
+inline constexpr double kStalledExit = 0.40;
 
 // Aborts (util::Check) on nonsensical parameters: non-positive rates or
 // buffer, negative detection time, empty recovery group, inverted residual

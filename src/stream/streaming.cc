@@ -32,8 +32,8 @@ double StreamingLayer::ResidualFraction(NodeId id) {
     residual_fraction_.resize(static_cast<std::size_t>(id) + 1, -1.0);
   double& f = residual_fraction_[static_cast<std::size_t>(id)];
   if (f < 0.0)
-    f = rng_.Uniform(params_.residual_lo_pkts, params_.residual_hi_pkts) /
-        params_.packet_rate;
+    f = rng_.Uniform(core::kPaperResidualLoPkts, core::kPaperResidualHiPkts) /
+        core::kPaperPacketRate;
   return f;
 }
 
@@ -52,17 +52,14 @@ void StreamingLayer::OnDeparture(NodeId failed) {
     std::vector<NodeId> group = core::SelectRecoveryGroup(
         session_, orphan, params_.recovery_group_size, params_.selection);
 
-    core::OutageSpec spec;
-    spec.detect_s = params_.detect_s;
-    spec.rejoin_s = params_.rejoin_s;
+    core::OutageSpec spec;  // the paper's rate, detection and rejoin times
     spec.buffer_s = params_.buffer_s;
-    spec.packet_rate = params_.packet_rate;
     spec.mode = params_.mode;
     NodeId prev = orphan;
     for (NodeId g : group) {
       core::RecoverySource src;
       // A recovery node disrupted by the same failure has no data: NACK.
-      src.usable = tree.Alive(g) && tree.InTree(g) &&
+      src.usable = tree.Alive(g) &&
                    !tree.IsInSubtreeOf(g, failed) && tree.IsRooted(g);
       src.rate_fraction = src.usable ? ResidualFraction(g) : 0.0;
       src.hop_latency_s = session_.DelayMs(prev, g) / 1000.0;

@@ -31,17 +31,13 @@
 
 namespace omcast::stream {
 
+// The stream rate, detection and rejoin times and the residual bandwidth
+// range are the paper's (core::kPaperPacketRate and its neighbours).
 struct StreamParams {
-  double packet_rate = 10.0;  // packets per second
-  double buffer_s = 5.0;      // playback buffer (50 packets by default)
-  double detect_s = 5.0;      // parent-failure detection time
-  double rejoin_s = 10.0;     // parent re-finding time
+  double buffer_s = 5.0;  // playback buffer (50 packets at the paper's rate)
   int recovery_group_size = 3;
   core::GroupSelection selection = core::GroupSelection::kMlc;
   core::RecoveryMode mode = core::RecoveryMode::kCooperative;
-  // Residual (helping) bandwidth per member, packets per second.
-  double residual_lo_pkts = 0.0;
-  double residual_hi_pkts = 9.0;
 };
 
 class StreamingLayer {

@@ -4,9 +4,8 @@
 // replay digest rests on it popping events in exact (time, seq) order.
 // HeapQueue below is the seed's pending-event set, kept here as the
 // reference. Each test drives both queues through one seeded operation
-// stream: every pop must return the same (time, seq, id, tag) and the
-// event's own callback, and PeekTime, Contains and size must agree
-// throughout.
+// stream: every pop must return the same (time, seq, tag) and the event's
+// own callback, and PeekTime, Contains and size must agree throughout.
 #include "sim/calendar_queue.h"
 
 #include <gtest/gtest.h>
@@ -91,21 +90,23 @@ class HeapQueue {
 };
 
 // One operation stream applied to both queues. Seqs and ids are issued the
-// way Simulator::ScheduleAt issues them: sequentially, id = seq + 1.
+// way Simulator::ScheduleAt issues them: sequentially, id = seq + 1. The
+// calendar addresses an event by (seq, slot), so the pair records the slot
+// each id got at insert.
 class QueuePair {
  public:
   std::uint64_t Insert(Time t) {
     const std::uint64_t seq = next_seq_++;
     const std::uint64_t id = seq + 1;
     const char* tag = kTags[seq % 3];
-    calendar_.Insert(t, seq, id, tag, [this, id] { fired_ = id; });
+    slots_.push_back(calendar_.Insert(t, seq, tag, [this, id] { fired_ = id; }));
     heap_.Insert(t, seq, id, tag, [this, id] { fired_ = id; });
     return id;
   }
 
   // Cancels `id` (pending or not) in both queues.
   ::testing::AssertionResult Erase(std::uint64_t id) {
-    const bool in_calendar = calendar_.Erase(id);
+    const bool in_calendar = calendar_.Erase(id - 1, SlotOf(id));
     const bool in_heap = heap_.Erase(id);
     if (in_calendar != in_heap)
       return ::testing::AssertionFailure()
@@ -125,8 +126,9 @@ class QueuePair {
     const Time heap_peek = heap_.PeekTime();
     Popped c;
     Popped h;
-    calendar_.PopMin(&c.time, &c.seq, &c.id, &c.tag, &c.cb);
+    calendar_.PopMin(&c.time, &c.seq, &c.tag, &c.cb);
     heap_.PopMin(&h.time, &h.seq, &h.id, &h.tag, &h.cb);
+    c.id = c.seq + 1;
     if (calendar_peek != heap_peek || c.time != h.time || c.seq != h.seq ||
         c.id != h.id || c.tag != h.tag)
       return ::testing::AssertionFailure()
@@ -146,9 +148,10 @@ class QueuePair {
 
   // Both queues agree on Contains(id) and on size().
   ::testing::AssertionResult Agree(std::uint64_t id) const {
-    if (calendar_.Contains(id) != heap_.Contains(id))
+    const bool in_calendar = calendar_.Contains(id - 1, SlotOf(id));
+    if (in_calendar != heap_.Contains(id))
       return ::testing::AssertionFailure()
-             << "Contains(" << id << "): calendar " << calendar_.Contains(id)
+             << "Contains(" << id << "): calendar " << in_calendar
              << ", heap " << heap_.Contains(id);
     if (calendar_.size() != heap_.size())
       return ::testing::AssertionFailure()
@@ -178,6 +181,10 @@ class QueuePair {
 
  private:
   static constexpr const char* kTags[3] = {"t.a", "t.b", "t.c"};
+  std::int32_t SlotOf(std::uint64_t id) const {
+    return slots_[static_cast<std::size_t>(id - 1)];
+  }
+
   struct Popped {
     Time time = 0.0;
     std::uint64_t seq = 0;
@@ -188,6 +195,7 @@ class QueuePair {
 
   CalendarQueue calendar_;
   HeapQueue heap_;
+  std::vector<std::int32_t> slots_;  // calendar slot, indexed by id - 1
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
 };

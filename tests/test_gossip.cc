@@ -45,7 +45,7 @@ TEST_F(GossipTest, BootstrapSeedsViewOnJoin) {
   // b contacted members while joining: its view starts non-empty.
   EXPECT_GE(gossip_->ViewSize(b), 1u);
   // a joined an empty overlay; its first re-bootstrap tick fills the view.
-  sim_.RunUntil(1.0 + 2 * GossipParams{}.period_s);
+  sim_.RunUntil(1.0 + 2 * kGossipPeriodS);
   EXPECT_GE(gossip_->ViewSize(a), 1u);
 }
 
@@ -87,7 +87,7 @@ TEST_F(GossipTest, DeadMembersWashOutOfViews) {
   for (NodeId v : victims) session_->DepartNow(v);
   // After several TTL-lengths of exchanges, the victims must have washed
   // out of (almost) all views.
-  sim_.RunUntil(400.0 + 3 * GossipParams{}.entry_ttl_s);
+  sim_.RunUntil(400.0 + 3 * kGossipEntryTtlS);
   const std::set<NodeId> victim_set(victims.begin(), victims.end());
   long victim_entries = 0;
   long total_entries = 0;
@@ -186,7 +186,7 @@ TEST_F(GossipTest, ViewStorageIsOneViewPerAliveMember) {
   const std::size_t buffer = gossip_->view_slots();
   EXPECT_GT(buffer, 0u);
   EXPECT_LE(buffer,
-            per_view + static_cast<std::size_t>(params.exchange_size) + 1);
+            per_view + static_cast<std::size_t>(kGossipExchangeSize) + 1);
   EXPECT_LE(slots, alive * per_view + buffer);
 }
 
@@ -206,13 +206,12 @@ TEST(GossipReplay, PaperStackViewsMatchGoldenDigest) {
   Session session(sim, topology,
                   exp::MakeProtocol(exp::Algorithm::kRost, core::RostParams{}),
                   SessionParams{}, 21);
-  const GossipParams params;
-  GossipService gossip(session, params, 22);
+  GossipService gossip(session, GossipParams{}, 22);
   session.SetMembershipOracle(&gossip);
   session.Prepopulate(2000);
   session.StartArrivals(exp::ArrivalRate(2000));
-  sim.RunUntil(20 * params.period_s);
-  ASSERT_GE(sim.now(), 2 * params.entry_ttl_s);
+  sim.RunUntil(20 * kGossipPeriodS);
+  ASSERT_GE(sim.now(), 2 * kGossipEntryTtlS);
 
   std::vector<NodeId> alive = session.alive_members();
   std::sort(alive.begin(), alive.end());

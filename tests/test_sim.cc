@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace omcast::sim {
@@ -66,6 +68,61 @@ TEST(Simulator, CancelOfFiredEventReturnsFalse) {
 TEST(Simulator, CancelInvalidIdIsSafe) {
   Simulator s;
   EXPECT_FALSE(s.Cancel(kInvalidEventId));
+}
+
+TEST(Simulator, StaleHandleNeverMatchesTheEventThatReusedItsSlot) {
+  Simulator s;
+  // Cancelled: the LIFO free list hands A's slot to B.
+  const EventId a = s.ScheduleAt(1.0, [] {});
+  ASSERT_TRUE(s.Cancel(a));
+  bool b_fired = false;
+  const EventId b = s.ScheduleAt(1.0, [&] { b_fired = true; });
+  ASSERT_EQ(b.slot, a.slot);
+  EXPECT_FALSE(s.IsPending(a));
+  EXPECT_FALSE(s.Cancel(a));
+  EXPECT_TRUE(s.IsPending(b));
+  s.Run();
+  EXPECT_TRUE(b_fired);
+  // Fired: C takes the slot B fired from.
+  bool c_fired = false;
+  const EventId c = s.ScheduleAt(2.0, [&] { c_fired = true; });
+  ASSERT_EQ(c.slot, b.slot);
+  EXPECT_FALSE(s.IsPending(b));
+  EXPECT_FALSE(s.Cancel(b));
+  EXPECT_FALSE(s.Cancel(a));
+  EXPECT_TRUE(s.IsPending(c));
+  s.Run();
+  EXPECT_TRUE(c_fired);
+}
+
+TEST(Simulator, InvalidEventIdIsNeverPending) {
+  Simulator s;
+  EXPECT_FALSE(s.IsPending(kInvalidEventId));
+  const EventId id = s.ScheduleAt(1.0, [] {});
+  EXPECT_FALSE(s.IsPending(kInvalidEventId));
+  EXPECT_FALSE(s.Cancel(kInvalidEventId));
+  EXPECT_TRUE(s.IsPending(id));
+  EXPECT_NE(id, kInvalidEventId);
+}
+
+TEST(Simulator, TraceObserverSeesIdsInSchedulingOrder) {
+  Simulator s;
+  std::vector<std::uint64_t> seen;
+  s.SetTraceObserver([&](Time, std::uint64_t id) { seen.push_back(id); });
+  std::vector<std::uint64_t> issued;
+  // Each event schedules and cancels one event, then schedules the next
+  // from its callback: every one of them reuses the same slot.
+  std::function<void()> next = [&] {
+    if (issued.size() >= 6) return;
+    const EventId dropped = s.ScheduleAfter(0.5, [] {});
+    issued.push_back(dropped.value);
+    s.Cancel(dropped);
+    issued.push_back(s.ScheduleAfter(1.0, next).value);
+  };
+  issued.push_back(s.ScheduleAt(0.0, next).value);
+  s.Run();
+  EXPECT_EQ(issued, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 3, 5, 7}));
 }
 
 TEST(Simulator, RunUntilAdvancesClockPastLastEvent) {

@@ -49,8 +49,8 @@ TEST(Topology, IntraDomainDelaysUseStubRange) {
   for (HostId a = 0; a < 8; ++a)
     for (HostId b = a + 1; b < 8; ++b) {
       const double d = t.Delay(a, b);
-      EXPECT_GE(d, p.ss_delay_lo);
-      EXPECT_LE(d, p.ss_delay_hi * (p.nodes_per_stub_domain - 1));
+      EXPECT_GE(d, kStubStubDelayLoMs);
+      EXPECT_LE(d, kStubStubDelayHiMs * (p.nodes_per_stub_domain - 1));
       EXPECT_EQ(t.DomainOf(a), t.DomainOf(b));
     }
 }
@@ -63,7 +63,7 @@ TEST(Topology, CrossDomainDelayIncludesGatewayAndCore) {
   const HostId a = 0;
   const HostId b = t.num_stub_nodes() - 1;
   ASSERT_NE(t.DomainOf(a), t.DomainOf(b));
-  EXPECT_GE(t.Delay(a, b), 2 * p.ts_delay_lo);
+  EXPECT_GE(t.Delay(a, b), 2 * kTransitStubDelayLoMs);
 }
 
 TEST(Topology, DomainAndTransitIndexing) {
@@ -286,7 +286,7 @@ TEST_P(TopologyPropertyTest, DelayOracleWellFormed) {
     EXPECT_TRUE(std::isfinite(d));
     EXPECT_DOUBLE_EQ(d, t.Delay(b, a));
     if (a != b) {
-      EXPECT_GE(d, TinyTopologyParams().ss_delay_lo);
+      EXPECT_GE(d, kStubStubDelayLoMs);
     }
   }
 }

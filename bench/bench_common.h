@@ -3,12 +3,12 @@
 //
 // Every bench declares its figure as a runner::GridSpec -- rows (x-axis
 // points) x columns (curves) x repetitions -- and hands it to
-// RunGridBench(), which executes the independent cells on a work-stealing
-// thread pool, shares one immutable topology across all of them, derives
-// each cell's seed from the cell identity (never `seed + rep`), aggregates
-// mean/stddev/95%-CI into the ResultsSink the table printers below read,
-// and writes it as a versioned JSON results file (see src/runner/results.h
-// for the schema).
+// RunGridBench(), which spreads the independent cells over --threads
+// threads through runner::RunGrid's cell cursor, shares one immutable
+// topology across all of them, derives each cell's seed from the cell
+// identity (never `seed + rep`), aggregates mean/stddev/95%-CI into the
+// ResultsSink the table printers below read, and writes it as a versioned
+// JSON results file (see src/runner/results.h for the schema).
 //
 // Driver flags, on every grid bench (DefineDriverFlags):
 //   --seed=N              base RNG seed (per-cell seeds are hashed from it).
@@ -37,9 +37,9 @@
 //                         schema-v3 "timeseries" block.
 //   --trace-stream=DIR    per-cell streaming trace JSONL under DIR
 //                         (obs::JsonlStreamSink; empty disables).
-//   --profile=true        fig04_disruptions only: per-cell
-//                         obs::SimProfiler, merged process-wide and printed
-//                         after the tables.
+//   --profile=true        fig04_disruptions only: a per-cell
+//                         obs::SimProfiler in a ProfileSlots entry, folded
+//                         in grid order and printed after the tables.
 #pragma once
 
 #include <cctype>
@@ -110,7 +110,7 @@ inline Driver ReadDriverFlags(const util::FlagSet& flags,
     std::cerr << "unknown --log-level '" << level
               << "' (want debug|info|warn|error); keeping current level\n";
   Driver driver;
-  driver.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
+  driver.seed = flags.GetU64("seed");
   if (threads_flag) driver.threads = flags.GetInt("threads");
   driver.progress = flags.GetBool("progress");
   driver.resume = flags.GetBool("resume");
@@ -371,24 +371,25 @@ class CellTraceStream {
 
 // One cell's observability. Wire() points the five observability fields of
 // an exp::ScenarioConfig or exp::ChaosConfig (the two name them alike) at
-// this cell's registry, --trace-stream tracer and --profile profiler, sets
-// the --timeseries window and turns incident analysis on. After the run,
-// Export() copies the registry, the incidents and the recovery curves into
-// the cell's results (schema v3) and merges the profile process-wide: it is
-// wall clock, so it never enters results or digests.
+// this cell's registry, --trace-stream tracer and `profiler` (the cell's
+// --profile slot, or null), sets the --timeseries window and turns incident
+// analysis on. After the run, Export() copies the registry, the incidents
+// and the recovery curves into the cell's results (schema v3). The profile
+// stays in its slot: it is wall clock, so it never enters results or
+// digests.
 class CellObservability {
  public:
   CellObservability(const Observability& options,
-                    const runner::CellContext& cell)
-      : options_(options), trace_(options.trace_dir, cell) {
-    if (options.profile) profiler_ = std::make_unique<obs::SimProfiler>();
-  }
+                    const runner::CellContext& cell,
+                    obs::SimProfiler* profiler = nullptr)
+      : options_(options), trace_(options.trace_dir, cell),
+        profiler_(profiler) {}
 
   template <typename Config>
   void Wire(Config* config) {
     config->tracer = trace_.tracer();
     config->registry = &registry_;
-    config->profiler = profiler_.get();
+    config->profiler = profiler_;
     config->timeseries_window_s = options_.timeseries_window_s;
     config->incident_analysis = true;
   }
@@ -400,26 +401,39 @@ class CellObservability {
     out->registry = registry_.Flatten();
     out->incidents = incidents;
     ExportTimeSeries(registry_, out);
-    if (profiler_) obs::GlobalProfileAggregator().Merge(*profiler_);
   }
 
  private:
   const Observability& options_;
   obs::Registry registry_;
   CellTraceStream trace_;
-  std::unique_ptr<obs::SimProfiler> profiler_;
+  obs::SimProfiler* profiler_;
 };
 
-// Prints the merged dispatch profile once, after the grids, when --profile
-// was given.
-inline void MaybePrintProfile(const Observability& observability) {
-  if (!observability.profile) return;
-  const obs::ProfileAggregator& agg = obs::GlobalProfileAggregator();
-  if (agg.events() == 0) {
+// --profile's per-cell profilers, indexed by runner::CellContext::index.
+// The bench sizes the slots before the grid runs and each cell fills only
+// its own, so they need no lock. Empty when --profile is off; a resumed
+// cell never runs and leaves its slot null. (Heap slots, not
+// std::optional: g++ 12 reports a false -Wmaybe-uninitialized inside
+// std::optional<SimProfiler>::emplace under the sanitizer flags.)
+using ProfileSlots = std::vector<std::unique_ptr<obs::SimProfiler>>;
+
+// Folds the filled slots in grid order into the first of them and prints
+// the one table. Call it after RunGrid has returned, when no cell writes a
+// slot any more.
+inline void PrintProfile(ProfileSlots& profiles) {
+  if (profiles.empty()) return;
+  obs::SimProfiler* total = nullptr;
+  for (const std::unique_ptr<obs::SimProfiler>& profile : profiles) {
+    if (!profile) continue;
+    if (total) total->MergeFrom(*profile);
+    else total = profile.get();
+  }
+  if (!total || total->events() == 0) {
     std::cout << "\n(profile: no simulator events recorded)\n";
     return;
   }
-  std::cout << "\n" << agg.FormatTable();
+  std::cout << "\n" << total->FormatTable();
 }
 
 // ---------------------------------------------------------------------------

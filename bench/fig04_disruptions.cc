@@ -22,6 +22,7 @@
 // The grid keeps the figure name "fig04_disruptions": it keys every cell
 // seed and the --resume check, and names the results JSON.
 #include <iostream>
+#include <memory>
 
 #include "bench_common.h"
 
@@ -29,9 +30,11 @@ namespace {
 
 using namespace omcast;
 
-// `env` and `observability` must outlive the spec.
+// `env`, `observability` and `profiles` must outlive the spec; a non-empty
+// `profiles` holds one slot per cell (--profile).
 runner::GridSpec TreeSizeSweepSpec(const bench::BenchEnv& env,
-                                   const bench::Observability& observability) {
+                                   const bench::Observability& observability,
+                                   bench::ProfileSlots* profiles) {
   runner::GridSpec spec;
   spec.figure = "fig04_disruptions";
   spec.title = "avg streaming disruptions per node";
@@ -41,11 +44,17 @@ runner::GridSpec TreeSizeSweepSpec(const bench::BenchEnv& env,
     spec.cols.push_back(exp::AlgorithmLabel(a));
   spec.reps = env.reps;
   spec.headline_metric = "disruptions";
-  spec.run = [&env, &observability](const runner::CellContext& cell) {
+  spec.run = [&env, &observability,
+              profiles](const runner::CellContext& cell) {
     exp::ScenarioConfig config = env.BaseConfig();
     config.population = env.sizes[cell.row];
     config.seed = cell.seed;
-    bench::CellObservability observe(observability, cell);
+    obs::SimProfiler* profiler = nullptr;
+    if (!profiles->empty()) {
+      (*profiles)[cell.index] = std::make_unique<obs::SimProfiler>();
+      profiler = (*profiles)[cell.index].get();
+    }
+    bench::CellObservability observe(observability, cell, profiler);
     observe.Wire(&config);
     const exp::Algorithm a = exp::AllAlgorithms()[cell.col];
     const exp::TreeScenarioResult r = exp::RunTreeScenario(env.Topo(), a, config);
@@ -68,7 +77,10 @@ int main(int argc, char** argv) {
       bench::ReadObservabilityFlags(flags, /*profile=*/true);
   bench::PrintHeader("Fig. 4 -- avg streaming disruptions per node", env);
 
-  const runner::GridSpec spec = TreeSizeSweepSpec(env, observability);
+  bench::ProfileSlots profiles;
+  const runner::GridSpec spec =
+      TreeSizeSweepSpec(env, observability, &profiles);
+  if (observability.profile) profiles.resize(spec.cell_count());
   const auto [sink, status] = bench::RunGridBench(env, spec);
   bench::PrintMetricTable(spec, sink, "disruptions", 3,
                           "avg disruptions per node (rows: steady-state size)");
@@ -84,6 +96,6 @@ int main(int argc, char** argv) {
   bench::PrintMetricTable(
       spec, sink, "reconnections", 3,
       "avg optimization-induced reconnections per member lifetime");
-  bench::MaybePrintProfile(observability);
+  bench::PrintProfile(profiles);
   return status;
 }

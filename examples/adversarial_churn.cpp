@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   if (!flags.Parse(argc, argv)) return 1;
   const int members = flags.GetInt("members");
   const int cheaters = flags.GetInt("cheaters");
-  const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
+  const auto seed = flags.GetU64("seed");
 
   rnd::Rng topo_rng(42);
   const net::Topology topology =

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   const std::string trace_out = flags.GetString("trace-out");
   const bool quick = flags.GetBool("quick");
   const int members = quick ? 80 : flags.GetInt("members");
-  const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
+  const auto seed = flags.GetU64("seed");
 
   rnd::Rng topo_rng(1);
   const net::Topology topology = net::Topology::Generate(

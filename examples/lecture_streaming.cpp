@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
       .Define("seed", "11", "random seed");
   if (!flags.Parse(argc, argv)) return 1;
   const int students = flags.GetInt("students");
-  const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
+  const auto seed = flags.GetU64("seed");
 
   rnd::Rng topo_rng(42);
   const net::Topology topology =

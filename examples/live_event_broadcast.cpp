@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
       .Define("seed", "7", "random seed");
   if (!flags.Parse(argc, argv)) return 1;
   const int viewers = flags.GetInt("viewers");
-  const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
+  const auto seed = flags.GetU64("seed");
 
   rnd::Rng topo_rng(42);
   const net::Topology topology =

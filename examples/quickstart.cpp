@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   //    arrivals sized for the target steady-state population.
   exp::ScenarioConfig config;
   config.population = flags.GetInt("population");
-  config.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
+  config.seed = flags.GetU64("seed");
   config.warmup_s = 1200.0;
   config.measure_s = 2400.0;
 

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   if (!flags.Parse(argc, argv)) return 1;
 
   const exp::Algorithm algorithm = ParseAlgorithm(flags.GetString("algorithm"));
-  rnd::Rng topo_rng(static_cast<std::uint64_t>(flags.GetInt("seed")) ^ 0x70706fULL);
+  rnd::Rng topo_rng(flags.GetU64("seed") ^ 0x70706fULL);
   const net::Topology topology =
       net::Topology::Generate(ParseTopology(flags.GetString("topology")), topo_rng);
 
@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
 
   sim::Simulator sim;
   overlay::Session session(sim, topology, exp::MakeProtocol(algorithm, rost),
-                           overlay::SessionParams{},
-                           static_cast<std::uint64_t>(flags.GetInt("seed")));
+                           overlay::SessionParams{}, flags.GetU64("seed"));
   std::unique_ptr<overlay::GossipService> gossip;
   if (flags.GetBool("gossip")) {
     gossip = std::make_unique<overlay::GossipService>(

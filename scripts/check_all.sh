@@ -19,7 +19,7 @@
 # Static checks:
 #   scripts/omcast-lint                  repo-specific determinism/concurrency/
 #                                        protocol lint (+ fixture selftests,
-#                                        SARIF selftest, committed baseline)
+#                                        SARIF selftest, src/ clean)
 #   clang-tidy / clang-format            only when installed (check-only)
 set -euo pipefail
 
@@ -65,11 +65,10 @@ if [[ "$QUICK" -eq 0 ]]; then
   run_config tsan
 fi
 
-echo "==== [lint] omcast-lint (selftests + src/ vs baseline) ===="
+echo "==== [lint] omcast-lint (selftests + src/) ===="
 if python3 scripts/omcast-lint --selftest scripts/omcast_lint/fixtures \
     && python3 scripts/omcast-lint --sarif-selftest \
-    && python3 scripts/omcast-lint src/ \
-        --baseline scripts/omcast_lint_baseline.json; then
+    && python3 scripts/omcast-lint src/; then
   echo "==== [lint] OK ===="
 else
   echo "==== [lint] FAILED ===="

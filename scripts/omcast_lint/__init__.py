@@ -15,9 +15,7 @@ about, with:
   * an `omcast-lint: allow(<rule>)` escape hatch with stale-suppression
     detection (an allow() that no longer suppresses anything is itself a
     finding);
-  * human and SARIF 2.1.0 output, and a committed-baseline workflow so
-    pre-existing findings are triaged rather than ignored
-    (`omcast_lint.baseline`);
+  * human and SARIF 2.1.0 output (`omcast_lint.sarif`);
   * per-rule fixtures under `omcast_lint/fixtures/` exercised by
     `--selftest`, run in CI and by ctest.
 

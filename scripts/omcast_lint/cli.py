@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Exit codes:
-  0 -- clean (or all findings baselined / selftest passed)
-  1 -- findings not in the baseline, or selftest failures
-  2 -- usage error (no inputs, unknown path, bad baseline file)
+  0 -- clean (or selftest passed)
+  1 -- findings, or selftest failures
+  2 -- usage error (no inputs, unknown path)
+
+An audited exception is silenced in place with an
+`omcast-lint: allow(<rule>)` comment; there is no other suppression path.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import baseline as baseline_mod
 from . import sarif as sarif_mod
 from .engine import lint_paths
 from .registry import all_rule_descriptions, Finding
@@ -44,12 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sarif-selftest", action="store_true",
                         help="emit a SARIF document for a synthetic finding "
                              "and structurally validate it")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="suppress findings whose fingerprints appear in "
-                             "this committed baseline JSON")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline FILE from the current "
-                             "findings instead of failing")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
     parser.add_argument("--no-stale-allow", action="store_true",
@@ -108,37 +104,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.sarif:
         sarif_mod.write(Path(args.sarif), findings, root)
 
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if baseline_path and args.update_baseline:
-        baseline_mod.write(baseline_path, findings, root)
-        print(f"baseline: wrote {len(findings)} finding(s) to "
-              f"{baseline_path}")
-        return 0
-
-    baselined: list[Finding] = []
-    stale_entries: set[str] = set()
-    if baseline_path:
-        try:
-            known = baseline_mod.load(baseline_path)
-        except (ValueError, json.JSONDecodeError) as e:
-            print(f"error: bad baseline file: {e}", file=sys.stderr)
-            return 2
-        findings, baselined, stale_entries = baseline_mod.split(
-            findings, known, root)
-
     for f in findings:
         print(f)
-    suffix = ""
-    if baselined:
-        suffix += f"; {len(baselined)} baselined finding(s) suppressed"
-    if stale_entries:
-        suffix += (f"; {len(stale_entries)} stale baseline entr"
-                   f"{'y' if len(stale_entries) == 1 else 'ies'} "
-                   f"(fixed findings -- remove from {baseline_path})")
-        for fp in sorted(stale_entries):
-            print(f"  stale baseline entry: {fp}", file=sys.stderr)
-    print(f"omcast-lint: {len(findings)} new finding(s) across {nfiles} "
-          f"file(s){suffix}")
+    print(f"omcast-lint: {len(findings)} finding(s) across {nfiles} "
+          f"file(s)")
     return 1 if findings else 0
 
 

@@ -4,8 +4,8 @@ outside the capability-annotated wrapper (src/util/mutex.h).
 clang's -Wthread-safety cannot see through std::mutex / std::lock_guard /
 std::unique_lock (they carry no capability attributes), so any code using
 them silently opts out of the static lock-discipline analysis the clang
-preset enforces. util::Mutex / util::MutexLock / util::CondVar are the
-annotated equivalents; this rule keeps the analyzable world closed.
+preset enforces. util::Mutex / util::MutexLock are the annotated
+equivalents; this rule keeps the analyzable world closed.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ def find_raw_mutex(sf: SourceFile):
     for i, line in enumerate(sf.code_lines):
         if RAW_MUTEX_RE.search(line):
             hits.append((i, "raw standard-library mutex/lock outside the "
-                            "annotated wrapper: use util::Mutex, "
-                            "util::MutexLock and util::CondVar "
+                            "annotated wrapper: use util::Mutex and "
+                            "util::MutexLock "
                             "(src/util/mutex.h) with OMCAST_GUARDED_BY "
                             "annotations so clang -Wthread-safety checks "
                             "the lock discipline"))

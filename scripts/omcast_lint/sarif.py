@@ -3,16 +3,27 @@
 Only the subset of the schema we emit is modelled; validate() structurally
 checks an emitted document against that subset and is what the
 `--sarif-selftest` CI step runs.
+
+Each result carries a line-number-free `partialFingerprints` entry so a
+consumer can track a finding across unrelated edits above it:
+
+    <repo-relative path>:<rule>:<sha1 of the blanked source line, without
+    whitespace>[:<occurrence>]
+
+with <occurrence> disambiguating identical lines within one file (in file
+order).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 from pathlib import Path
 
 from . import TOOL_NAME, TOOL_URI, __version__
-from .baseline import fingerprints
 from .registry import all_rule_descriptions, Finding
+from .source import strip_comments_and_strings
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
@@ -25,6 +36,33 @@ def _uri(path: Path, root: Path) -> str:
         return p.relative_to(root.resolve()).as_posix()
     except ValueError:
         return p.as_posix()
+
+
+def _normalized_line(path: Path, line: int) -> str:
+    """The blanked (comment/string-free) text of `line` (1-based), with all
+    whitespace removed, so reformatting does not change fingerprints."""
+    try:
+        text = path.read_text(encoding="utf-8", errors="replace")
+    except OSError:
+        return ""
+    lines = strip_comments_and_strings(text).splitlines()
+    if not 1 <= line <= len(lines):
+        return ""
+    return re.sub(r"\s+", "", lines[line - 1])
+
+
+def fingerprints(findings: list[Finding], root: Path) -> list[str]:
+    """Fingerprint per finding, in order, with occurrence disambiguation."""
+    seen: dict[str, int] = {}
+    out = []
+    for f in findings:
+        digest = hashlib.sha1(
+            _normalized_line(f.path, f.line).encode()).hexdigest()[:12]
+        base = f"{_uri(f.path, root)}:{f.rule}:{digest}"
+        n = seen.get(base, 0)
+        seen[base] = n + 1
+        out.append(base if n == 0 else f"{base}:{n}")
+    return out
 
 
 def render(findings: list[Finding], root: Path) -> dict:

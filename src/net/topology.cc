@@ -12,19 +12,30 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Floyd-Warshall over a dense matrix (row-major n*n), in place.
+// row[j] = min(row[j], dik + via[j]) for every j < n, on two distinct rows.
+// Two columns a step let the compiler use one 2-wide add and min per step
+// (branch-free: a branch on this data-dependent test mispredicts). Each
+// column still gets the same IEEE add and min, so distances do not change.
+void RelaxRow(double* __restrict row, const double* __restrict via,
+              double dik, std::size_t n) {
+  std::size_t j = 0;
+  for (; j + 2 <= n; j += 2) {
+    row[j] = std::min(row[j], dik + via[j]);
+    row[j + 1] = std::min(row[j + 1], dik + via[j + 1]);
+  }
+  if (j < n) row[j] = std::min(row[j], dik + via[j]);
+}
+
+// Floyd-Warshall over a dense matrix (row-major n*n), in place. Row k is
+// not relaxed through itself: dist[k][k] is 0, so that pass changes
+// nothing, and skipping it keeps the row read apart from the row written.
 void FloydWarshall(int n, std::vector<double>& dist) {
-  for (int k = 0; k < n; ++k)
-    for (int i = 0; i < n; ++i) {
-      const double dik = dist[static_cast<std::size_t>(i) * n + k];
-      if (dik == kInf) continue;
-      for (int j = 0; j < n; ++j) {
-        const double via = dik + dist[static_cast<std::size_t>(k) * n + j];
-        double& d = dist[static_cast<std::size_t>(i) * n + j];
-        // Branch-free (minsd): a branch on this data-dependent test
-        // mispredicts, and its cost swung with code alignment.
-        d = std::min(d, via);
-      }
+  const auto un = static_cast<std::size_t>(n);
+  for (std::size_t k = 0; k < un; ++k)
+    for (std::size_t i = 0; i < un; ++i) {
+      const double dik = dist[i * un + k];
+      if (i == k || dik == kInf) continue;
+      RelaxRow(&dist[i * un], &dist[k * un], dik, un);
     }
 }
 

@@ -23,22 +23,6 @@ std::vector<double> DepthBounds() {
   return {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536};
 }
 
-void AppendRow(std::string& out, const std::string& tag,
-               const SimProfiler::TagStats& st) {
-  char buf[160];
-  const double mean_us =
-      st.count > 0 ? st.total_us / static_cast<double>(st.count) : 0.0;
-  std::snprintf(buf, sizeof(buf), "  %-24s %12llu %12.3f %10.3f %10.3f\n",
-                tag.c_str(), static_cast<unsigned long long>(st.count),
-                st.total_us / 1000.0, mean_us, st.max_us);
-  out += buf;
-}
-
-void AppendHeader(std::string& out) {
-  out += "  tag                             events     total_ms    mean_us"
-         "     max_us\n";
-}
-
 // Process peak resident set in bytes; 0 where the platform offers no
 // getrusage. Linux reports ru_maxrss in kilobytes, macOS in bytes.
 std::uint64_t CurrentPeakRssBytes() {
@@ -103,13 +87,45 @@ void SimProfiler::SampleMemory(std::size_t pool_live,
   pool_live_max_ = std::max(pool_live_max_, pool_live);
   pool_capacity_max_ = std::max(pool_capacity_max_, pool_capacity);
   peak_rss_bytes_ = std::max(peak_rss_bytes_, CurrentPeakRssBytes());
+  if (peak_rss_bytes_ > baseline_rss_bytes_)
+    rss_delta_bytes_ = peak_rss_bytes_ - baseline_rss_bytes_;
+}
+
+void SimProfiler::MergeFrom(const SimProfiler& other) {
+  for (const auto& [tag, st] : other.per_tag_) {
+    TagStats& mine = per_tag_[tag];
+    mine.count += st.count;
+    mine.total_us += st.total_us;
+    mine.max_us = std::max(mine.max_us, st.max_us);
+  }
+  wall_us_.MergeFrom(other.wall_us_);
+  depth_.MergeFrom(other.depth_);
+  events_ += other.events_;
+  loop_us_ += other.loop_us_;
+  loop_events_ += other.loop_events_;
+  peak_rss_bytes_ = std::max(peak_rss_bytes_, other.peak_rss_bytes_);
+  rss_delta_bytes_ = std::max(rss_delta_bytes_, other.rss_delta_bytes_);
+  pool_live_max_ = std::max(pool_live_max_, other.pool_live_max_);
+  pool_capacity_max_ = std::max(pool_capacity_max_, other.pool_capacity_max_);
+  runs_ += other.runs_;
 }
 
 std::string SimProfiler::FormatTable() const {
-  std::string out = "sim profile: per-event-type dispatch\n";
-  AppendHeader(out);
-  for (const auto& [tag, st] : per_tag_) AppendRow(out, tag, st);
   char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "sim profile: per-event-type dispatch (%d run%s merged)\n",
+                runs_, runs_ == 1 ? "" : "s");
+  std::string out = buf;
+  out += "  tag                             events     total_ms    mean_us"
+         "     max_us\n";
+  for (const auto& [tag, st] : per_tag_) {
+    const double mean_us =
+        st.count > 0 ? st.total_us / static_cast<double>(st.count) : 0.0;
+    std::snprintf(buf, sizeof(buf), "  %-24s %12llu %12.3f %10.3f %10.3f\n",
+                  tag.c_str(), static_cast<unsigned long long>(st.count),
+                  st.total_us / 1000.0, mean_us, st.max_us);
+    out += buf;
+  }
   std::snprintf(buf, sizeof(buf),
                 "  wall_us p50=%.3f p99=%.3f  queue_depth mean=%.1f p99=%.0f "
                 "max=%.0f\n",
@@ -122,108 +138,14 @@ std::string SimProfiler::FormatTable() const {
                 events_per_sec());
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "  memory process_peak_rss_mb=%.1f run_rss_delta_mb=%.1f "
-                "pool_live_max=%llu pool_capacity_max=%llu\n",
-                static_cast<double>(peak_rss_bytes_) / (1024.0 * 1024.0),
-                static_cast<double>(rss_delta_bytes()) / (1024.0 * 1024.0),
-                static_cast<unsigned long long>(pool_live_max_),
-                static_cast<unsigned long long>(pool_capacity_max_));
-  out += buf;
-  return out;
-}
-
-void ProfileAggregator::Merge(const SimProfiler& profiler) {
-  util::MutexLock lock(mu_);
-  for (const auto& [tag, st] : profiler.per_tag()) {
-    SimProfiler::TagStats& agg = per_tag_[tag];
-    agg.count += st.count;
-    agg.total_us += st.total_us;
-    agg.max_us = std::max(agg.max_us, st.max_us);
-  }
-  const Histogram& depth = profiler.queue_depth_hist();
-  depth_.samples += static_cast<std::uint64_t>(depth.count());
-  depth_.sum += depth.sum();
-  depth_.max = std::max(depth_.max, depth.max());
-  events_ += profiler.events();
-  loop_us_ += profiler.loop_us();
-  loop_events_ += profiler.loop_events();
-  peak_rss_bytes_ = std::max(peak_rss_bytes_, profiler.peak_rss_bytes());
-  rss_delta_max_bytes_ =
-      std::max(rss_delta_max_bytes_, profiler.rss_delta_bytes());
-  pool_live_max_ = std::max(pool_live_max_, profiler.pool_live_max());
-  pool_capacity_max_ = std::max(pool_capacity_max_, profiler.pool_capacity_max());
-  ++merged_;
-}
-
-std::uint64_t ProfileAggregator::events() const {
-  util::MutexLock lock(mu_);
-  return events_;
-}
-
-double ProfileAggregator::loop_us() const {
-  util::MutexLock lock(mu_);
-  return loop_us_;
-}
-
-std::uint64_t ProfileAggregator::loop_events() const {
-  util::MutexLock lock(mu_);
-  return loop_events_;
-}
-
-double ProfileAggregator::events_per_sec() const {
-  util::MutexLock lock(mu_);
-  return loop_us_ > 0.0
-             ? static_cast<double>(loop_events_) / (loop_us_ * 1e-6)
-             : 0.0;
-}
-
-std::uint64_t ProfileAggregator::peak_rss_bytes() const {
-  util::MutexLock lock(mu_);
-  return peak_rss_bytes_;
-}
-
-std::uint64_t ProfileAggregator::rss_delta_max_bytes() const {
-  util::MutexLock lock(mu_);
-  return rss_delta_max_bytes_;
-}
-
-std::string ProfileAggregator::FormatTable() const {
-  util::MutexLock lock(mu_);
-  std::string out = "sim profile: per-event-type dispatch (";
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%d run%s merged)\n", merged_,
-                merged_ == 1 ? "" : "s");
-  out += buf;
-  AppendHeader(out);
-  for (const auto& [tag, st] : per_tag_) AppendRow(out, tag, st);
-  const double depth_mean =
-      depth_.samples > 0 ? depth_.sum / static_cast<double>(depth_.samples)
-                         : 0.0;
-  std::snprintf(buf, sizeof(buf), "  queue_depth mean=%.1f max=%.0f\n",
-                depth_mean, depth_.max);
-  out += buf;
-  const double rate =
-      loop_us_ > 0.0 ? static_cast<double>(loop_events_) / (loop_us_ * 1e-6)
-                     : 0.0;
-  std::snprintf(buf, sizeof(buf),
-                "  loop wall_ms=%.3f events=%llu rate=%.0f/s\n",
-                loop_us_ / 1000.0,
-                static_cast<unsigned long long>(loop_events_), rate);
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
                 "  memory process_peak_rss_mb=%.1f max_run_rss_delta_mb=%.1f "
                 "pool_live_max=%llu pool_capacity_max=%llu\n",
                 static_cast<double>(peak_rss_bytes_) / (1024.0 * 1024.0),
-                static_cast<double>(rss_delta_max_bytes_) / (1024.0 * 1024.0),
+                static_cast<double>(rss_delta_bytes_) / (1024.0 * 1024.0),
                 static_cast<unsigned long long>(pool_live_max_),
                 static_cast<unsigned long long>(pool_capacity_max_));
   out += buf;
   return out;
-}
-
-ProfileAggregator& GlobalProfileAggregator() {
-  static ProfileAggregator aggregator;
-  return aggregator;
 }
 
 }  // namespace omcast::obs

@@ -11,8 +11,8 @@
 // Usage: sim::Simulator::SetProfiler() installs a profiler; scheduling
 // sites label their events with string-literal tags
 // (ScheduleAt/ScheduleAfter's trailing parameter) and RunOne brackets each
-// callback with BeginEvent/EndEvent. The ProfileAggregator merges the
-// profilers of many runner cells (thread-safe) for one whole-grid table.
+// callback with BeginEvent/EndEvent. MergeFrom folds the profilers of many
+// runner cells into one whole-grid table.
 #pragma once
 
 #include <chrono>  // omcast-lint: allow(wallclock)
@@ -21,14 +21,13 @@
 #include <string>
 
 #include "obs/registry.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace omcast::obs {
 
 // Thread-compatibility: a SimProfiler is owned by one simulation run on one
-// thread (cell-confined, like obs::Registry); only ProfileAggregator::Merge
-// crosses threads, after the owning run has finished mutating it.
+// thread (cell-confined, like obs::Registry). A grid keeps one profiler per
+// cell and folds them with MergeFrom after runner::RunGrid has returned, so
+// no profiler is ever shared between running threads.
 class SimProfiler {
  public:
   struct TagStats {
@@ -75,12 +74,10 @@ class SimProfiler {
   // Peak-RSS growth attributable to this run: the peak observed while it
   // ran minus the process high-water mark when the profiler was
   // constructed. 0 when the run stayed under earlier cells' peak (its real
-  // footprint is then unobservable via getrusage).
-  std::uint64_t rss_delta_bytes() const {
-    return peak_rss_bytes_ > baseline_rss_bytes_
-               ? peak_rss_bytes_ - baseline_rss_bytes_
-               : 0;
-  }
+  // footprint is then unobservable via getrusage). After MergeFrom: the
+  // largest single run's growth -- the closest getrusage gets to "the
+  // hungriest cell".
+  std::uint64_t rss_delta_bytes() const { return rss_delta_bytes_; }
   std::uint64_t baseline_rss_bytes() const { return baseline_rss_bytes_; }
   std::size_t pool_live_max() const { return pool_live_max_; }
   std::size_t pool_capacity_max() const { return pool_capacity_max_; }
@@ -88,8 +85,14 @@ class SimProfiler {
   const Histogram& wall_us_hist() const { return wall_us_; }
   const Histogram& queue_depth_hist() const { return depth_; }
 
-  // Human-readable per-tag dispatch/wall-time table plus queue-depth
-  // summary (the --profile output).
+  // Folds another run's profile in: counts and times add, maxima (per-tag
+  // max_us, peak RSS, RSS delta, pool high-water marks) take the max, and
+  // the wall-time and queue-depth histograms merge. `other` must have
+  // finished running.
+  void MergeFrom(const SimProfiler& other);
+
+  // Human-readable per-tag dispatch/wall-time table plus queue-depth,
+  // run-loop and memory summaries (the --profile output).
   std::string FormatTable() const;
 
  private:
@@ -108,60 +111,14 @@ class SimProfiler {
   Clock::time_point loop_started_{};
   bool in_loop_ = false;
   // Memory high-water marks. The baseline is the process peak RSS at
-  // construction; the delta accessor subtracts it so per-cell tables do not
+  // construction; the delta subtracts it so per-cell tables do not
   // attribute earlier cells' allocations to this run.
   std::uint64_t baseline_rss_bytes_ = 0;
   std::uint64_t peak_rss_bytes_ = 0;
+  std::uint64_t rss_delta_bytes_ = 0;
   std::size_t pool_live_max_ = 0;
   std::size_t pool_capacity_max_ = 0;
+  int runs_ = 1;  // runs this profile covers; MergeFrom adds the other's
 };
-
-// Thread-safe accumulation of many cells' profilers into one table (the
-// runner executes cells on a thread pool; each cell owns a private
-// SimProfiler and merges it here when done).
-class ProfileAggregator {
- public:
-  // The caller must have stopped mutating `profiler` (cells merge their
-  // private profiler exactly once, after the simulation run completes);
-  // Merge reads it unsynchronized.
-  void Merge(const SimProfiler& profiler) OMCAST_EXCLUDES(mu_);
-
-  std::uint64_t events() const OMCAST_EXCLUDES(mu_);
-  // Sum of merged run-loop wall time / dispatched-in-loop events; the
-  // aggregate events-per-second rate divides the two.
-  double loop_us() const OMCAST_EXCLUDES(mu_);
-  std::uint64_t loop_events() const OMCAST_EXCLUDES(mu_);
-  double events_per_sec() const OMCAST_EXCLUDES(mu_);
-  // Maximum over merged cells (cells share the process, so peak RSS is a
-  // max, not a sum).
-  std::uint64_t peak_rss_bytes() const OMCAST_EXCLUDES(mu_);
-  // Largest single-run RSS growth over merged cells (max of each cell's
-  // rss_delta_bytes) -- the closest getrusage gets to "the hungriest cell".
-  std::uint64_t rss_delta_max_bytes() const OMCAST_EXCLUDES(mu_);
-  std::string FormatTable() const OMCAST_EXCLUDES(mu_);
-
- private:
-  struct DepthStats {
-    std::uint64_t samples = 0;
-    double sum = 0.0;
-    double max = 0.0;
-  };
-
-  mutable util::Mutex mu_;
-  std::map<std::string, SimProfiler::TagStats> per_tag_ OMCAST_GUARDED_BY(mu_);
-  DepthStats depth_ OMCAST_GUARDED_BY(mu_);
-  std::uint64_t events_ OMCAST_GUARDED_BY(mu_) = 0;
-  double loop_us_ OMCAST_GUARDED_BY(mu_) = 0.0;
-  std::uint64_t loop_events_ OMCAST_GUARDED_BY(mu_) = 0;
-  std::uint64_t peak_rss_bytes_ OMCAST_GUARDED_BY(mu_) = 0;
-  std::uint64_t rss_delta_max_bytes_ OMCAST_GUARDED_BY(mu_) = 0;
-  std::size_t pool_live_max_ OMCAST_GUARDED_BY(mu_) = 0;
-  std::size_t pool_capacity_max_ OMCAST_GUARDED_BY(mu_) = 0;
-  int merged_ OMCAST_GUARDED_BY(mu_) = 0;
-};
-
-// Process-wide aggregator behind the benches' --profile flag: every cell
-// merges into it and the bench prints one table after the grid completes.
-ProfileAggregator& GlobalProfileAggregator();
 
 }  // namespace omcast::obs

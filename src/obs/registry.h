@@ -13,11 +13,11 @@
 //
 // Thread-compatibility contract (checked statically, not with a lock): a
 // Registry is deliberately unsynchronized because it is *cell-confined* --
-// each runner grid cell builds its own instance on its own worker thread
-// and only the Flatten()ed value crosses threads, via the cell's
+// each runner grid cell builds its own instance on the thread that claimed
+// the cell and only the Flatten()ed value crosses threads, via the cell's
 // pre-assigned result slot. Cross-thread aggregation goes through
-// MergeFrom on a registry the caller owns (after ThreadPool::Wait), never
-// through sharing one live Registry between threads. Adding a mutex here
+// MergeFrom on a registry the caller owns (after runner::RunGrid has
+// returned), never through sharing one live Registry between threads. Adding a mutex here
 // would buy nothing and put a lock acquisition on every protocol counter
 // bump; the omcast-lint raw-mutex rule plus the clang -Wthread-safety
 // preset keep the synchronized world (util::Mutex users) and this

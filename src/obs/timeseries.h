@@ -23,7 +23,7 @@
 //
 // Thread-compatibility: cell-confined and unsynchronized, exactly like
 // obs::Registry (one instance per runner grid cell, merged across cells
-// only through MergeFrom after ThreadPool::Wait).
+// only through MergeFrom after runner::RunGrid has returned).
 #pragma once
 
 #include <vector>
@@ -66,7 +66,7 @@ class TimeSeries {
   // Folds another series in (same kind and window width required):
   // counter-rate windows add, gauge windows take `other`'s value where
   // `other` recorded one. Used by Registry::MergeFrom for cross-cell
-  // aggregation after the runner's ThreadPool::Wait.
+  // aggregation after runner::RunGrid has returned.
   void MergeFrom(const TimeSeries& other);
 
  private:

@@ -64,6 +64,7 @@ struct CellContext {
   std::size_t row = 0;  // index into GridSpec::rows
   std::size_t col = 0;  // index into GridSpec::cols
   int rep = 0;
+  std::size_t index = 0;  // position in grid order (GridRunSummary::cells)
   std::uint64_t seed = 0;  // derived via CellSeed()
 };
 

@@ -61,8 +61,9 @@ struct RunInfo {
 // Serializes one outcome to its "cells" array entry.
 Json CellToJson(const CellOutcome& cell);
 
-// Restores metrics/samples/series/wall_ms from a "cells" entry. Returns
-// false (leaving `out` untouched) on a malformed entry.
+// Restores metrics, samples, series, registry, timeseries, incidents and
+// wall_ms from a "cells" entry. Returns false (leaving `out` untouched) on
+// a malformed entry.
 bool CellFromJson(const Json& cell, CellOutcome* out);
 
 // Looks up `ctx` in a previous results document: an entry matches when row,

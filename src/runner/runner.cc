@@ -1,12 +1,15 @@
 #include "runner/runner.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>  // omcast-lint: allow(wallclock)
+#include <cstddef>
 #include <cstdio>
+#include <exception>
+#include <thread>
 
 #include "runner/results.h"
-#include "runner/thread_pool.h"
 #include "util/check.h"
-#include "util/mutex.h"
 
 namespace omcast::runner {
 
@@ -45,6 +48,7 @@ GridRunSummary RunGrid(const GridSpec& spec, const RunnerOptions& options) {
         ctx.row = row;
         ctx.col = col;
         ctx.rep = rep;
+        ctx.index = index;
         ctx.seed = CellSeed(options.base_seed, spec.figure, ctx.row_label,
                             ctx.col_label, rep);
       }
@@ -66,35 +70,49 @@ GridRunSummary RunGrid(const GridSpec& spec, const RunnerOptions& options) {
   }
 
   const double t0 = WallMs();
-  util::Mutex progress_mu;
-  std::size_t completed = 0;
-
-  ThreadPool pool(options.threads);
-  summary.threads = pool.num_threads();
   const std::size_t total = todo.size();
-  for (const std::size_t i : todo) {
-    pool.Submit([&spec, &summary, &options, &progress_mu, &completed, total,
-                 t0, i] {
-      CellOutcome& cell = summary.cells[i];
+  const std::size_t width =
+      options.threads > 0 ? static_cast<std::size_t>(options.threads)
+                          : std::max(1u, std::thread::hardware_concurrency());
+  summary.threads = static_cast<int>(std::min(width, total));
+
+  // The cell cursor: each claim takes the next pending cell from the back.
+  std::atomic<std::ptrdiff_t> cursor{static_cast<std::ptrdiff_t>(total)};
+  std::atomic<std::size_t> completed{0};
+  std::vector<std::exception_ptr> errors(total);
+  const auto work = [&] {
+    while (true) {
+      const std::ptrdiff_t k = cursor.fetch_sub(1) - 1;
+      if (k < 0) return;
+      const auto claimed = static_cast<std::size_t>(k);
+      CellOutcome& cell = summary.cells[todo[claimed]];
       const double cell_t0 = WallMs();
-      cell.result = spec.run(cell.ctx);
-      cell.wall_ms = WallMs() - cell_t0;
-      if (options.progress) {
-        util::MutexLock lock(progress_mu);
-        ++completed;
-        const double elapsed_s = (WallMs() - t0) / 1000.0;
-        const double eta_s = elapsed_s / static_cast<double>(completed) *
-                             static_cast<double>(total - completed);
-        std::fprintf(stderr,
-                     "[%s] %zu/%zu cells (%s/%s rep %d) %.1fs elapsed, "
-                     "eta %.0fs\n",
-                     spec.figure.c_str(), completed, total,
-                     cell.ctx.row_label.c_str(), cell.ctx.col_label.c_str(),
-                     cell.ctx.rep, elapsed_s, eta_s);
+      try {
+        cell.result = spec.run(cell.ctx);
+      } catch (...) {
+        errors[claimed] = std::current_exception();
       }
-    });
-  }
-  pool.Wait();
+      cell.wall_ms = WallMs() - cell_t0;
+      if (!options.progress) continue;
+      const std::size_t done = completed.fetch_add(1) + 1;
+      const double elapsed_s = (WallMs() - t0) / 1000.0;
+      const double eta_s = elapsed_s / static_cast<double>(done) *
+                           static_cast<double>(total - done);
+      std::fprintf(stderr,
+                   "[%s] %zu/%zu cells (%s/%s rep %d) %.1fs elapsed, "
+                   "eta %.0fs\n",
+                   spec.figure.c_str(), done, total,
+                   cell.ctx.row_label.c_str(), cell.ctx.col_label.c_str(),
+                   cell.ctx.rep, elapsed_s, eta_s);
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;
+    for (int t = 1; t < summary.threads; ++t) helpers.emplace_back(work);
+    work();
+  }  // joins the helpers
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
 
   summary.executed = static_cast<int>(todo.size());
   summary.wall_ms = WallMs() - t0;

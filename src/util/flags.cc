@@ -1,11 +1,31 @@
 #include "util/flags.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
+#include <type_traits>
 
 #include "util/check.h"
 
 namespace omcast::util {
+
+namespace {
+
+// The whole of `text` as a T, or an abort naming flag `name`.
+template <typename T>
+T ParseNumber(const std::string& name, const std::string& text,
+              const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) Fail("flag --" + name + ": '" + text + "' is not " + what);
+  return value;
+}
+
+}  // namespace
 
 FlagSet& FlagSet::Define(const std::string& name,
                          const std::string& default_value,
@@ -60,16 +80,24 @@ std::string FlagSet::GetString(const std::string& name) const {
 }
 
 int FlagSet::GetInt(const std::string& name) const {
-  return static_cast<int>(std::strtol(GetString(name).c_str(), nullptr, 10));
+  return ParseNumber<int>(name, GetString(name), "an int");
+}
+
+std::uint64_t FlagSet::GetU64(const std::string& name) const {
+  return ParseNumber<std::uint64_t>(name, GetString(name),
+                                    "an unsigned 64-bit integer");
 }
 
 double FlagSet::GetDouble(const std::string& name) const {
-  return std::strtod(GetString(name).c_str(), nullptr);
+  return ParseNumber<double>(name, GetString(name), "a finite number");
 }
 
 bool FlagSet::GetBool(const std::string& name) const {
   const std::string v = GetString(name);
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  Fail("flag --" + name + ": '" + v +
+       "' is not a bool (1/true/yes/on or 0/false/no/off)");
 }
 
 std::vector<int> FlagSet::GetIntList(const std::string& name) const {
@@ -80,8 +108,7 @@ std::vector<int> FlagSet::GetIntList(const std::string& name) const {
     std::size_t comma = v.find(',', pos);
     if (comma == std::string::npos) comma = v.size();
     const std::string tok = v.substr(pos, comma - pos);
-    if (!tok.empty())
-      out.push_back(static_cast<int>(std::strtol(tok.c_str(), nullptr, 10)));
+    if (!tok.empty()) out.push_back(ParseNumber<int>(name, tok, "an int"));
     pos = comma + 1;
   }
   return out;

@@ -1,29 +1,20 @@
-// Capability-annotated mutex wrapper: the ONE place raw std::mutex /
-// std::condition_variable are legal (the omcast-lint raw-mutex rule bans
-// them everywhere else under src/).
+// Capability-annotated mutex wrapper: the ONE place raw std::mutex is legal
+// (the omcast-lint raw-mutex rule bans the standard locking primitives
+// everywhere else under src/).
 //
-// std::mutex and std::unique_lock carry no capability attributes, so clang's
+// std::mutex and std::lock_guard carry no capability attributes, so clang's
 // -Wthread-safety treats code using them as unanalyzable: accesses to
 // guarded fields under a std::lock_guard look unguarded and the analysis
 // either warns spuriously or (worse) silently checks nothing. Wrapping the
-// standard primitives in annotated types makes the whole concurrency layer
-// -- runner::ThreadPool, the shared topology cache, obs::ProfileAggregator
-// -- statically checkable.
+// standard mutex in annotated types makes the one lock in the program --
+// the shared topology cache's -- statically checkable.
 //
 // Usage:
 //   util::Mutex mu_;
 //   int value_ OMCAST_GUARDED_BY(mu_);
 //   { util::MutexLock lock(mu_); ++value_; }           // scoped
-//   mu_.Lock(); ...; mu_.Unlock();                     // manual (balanced)
-//   while (!ready_) cv_.Wait(mu_);                     // condition wait
-//
-// CondVar deliberately has no predicate overload: a predicate lambda is
-// analyzed as a separate function and its reads of guarded fields would
-// warn, so callers write the while-loop inline where the analysis can see
-// the held lock.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.h"
@@ -38,10 +29,8 @@ class OMCAST_CAPABILITY("mutex") Mutex {
 
   void Lock() OMCAST_ACQUIRE() { mu_.lock(); }
   void Unlock() OMCAST_RELEASE() { mu_.unlock(); }
-  bool TryLock() OMCAST_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -56,32 +45,6 @@ class OMCAST_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// Condition variable bound to util::Mutex. Wait() atomically releases the
-// (held) mutex, blocks, and reacquires it before returning; the REQUIRES
-// annotation teaches the analysis that the capability is held across the
-// call from the caller's point of view.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void Wait(Mutex& mu) OMCAST_REQUIRES(mu) {
-    // Adopt the already-held native mutex for the wait, then release the
-    // unique_lock's ownership claim so the wrapper's bookkeeping stays
-    // consistent (the caller still considers `mu` held, which it is).
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    cv_.wait(native);
-    native.release();
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace omcast::util

@@ -2,20 +2,17 @@
 //
 // These macros expand to clang's capability attributes when the compiler
 // supports them and to nothing otherwise (gcc builds are unaffected), so
-// the lock discipline of the concurrency layer -- runner::ThreadPool, the
-// shared topology cache, obs::ProfileAggregator -- is checked *statically*
-// by the `clang` preset / clang-thread-safety CI job with
-// -Wthread-safety -Werror, instead of only dynamically on the paths the
-// TSan job happens to execute.
+// the lock discipline -- today the shared topology cache's one mutex --
+// is checked *statically* by the `clang` preset / clang-thread-safety CI
+// job with -Wthread-safety -Werror, instead of only dynamically on the
+// paths the TSan job happens to execute.
 //
 // Conventions (see DESIGN.md "Static analysis"):
 //   * every mutex is a util::Mutex (src/util/mutex.h), never a raw
 //     std::mutex -- the omcast-lint raw-mutex rule enforces this;
-//   * every field written under a mutex carries OMCAST_GUARDED_BY(mu_);
-//   * private helpers called with the lock held carry OMCAST_REQUIRES(mu_)
-//     instead of re-locking;
-//   * public entry points that must not be called with the lock held carry
-//     OMCAST_EXCLUDES(mu_).
+//   * every field written under a mutex carries OMCAST_GUARDED_BY(mu_).
+// Only the attributes some code uses are defined; add clang's others
+// (requires_capability, locks_excluded, ...) with their first user.
 //
 // Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
 #pragma once
@@ -41,19 +38,7 @@
 // The field may only be read or written while holding `mu`.
 #define OMCAST_GUARDED_BY(mu) OMCAST_THREAD_ANNOTATION(guarded_by(mu))
 
-// The pointed-to data (not the pointer itself) is guarded by `mu`.
-#define OMCAST_PT_GUARDED_BY(mu) OMCAST_THREAD_ANNOTATION(pt_guarded_by(mu))
-
 // Function annotations -------------------------------------------------------
-
-// The caller must hold every listed capability (exclusively).
-#define OMCAST_REQUIRES(...) \
-  OMCAST_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-
-// The caller must NOT hold the listed capabilities (deadlock guard for
-// public entry points of a class whose methods lock internally).
-#define OMCAST_EXCLUDES(...) \
-  OMCAST_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
 // The function acquires the capability and holds it on return.
 #define OMCAST_ACQUIRE(...) \
@@ -62,17 +47,3 @@
 // The function releases a held capability.
 #define OMCAST_RELEASE(...) \
   OMCAST_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-// The function acquires the capability iff it returns `result`.
-#define OMCAST_TRY_ACQUIRE(result, ...) \
-  OMCAST_THREAD_ANNOTATION(try_acquire_capability(result, __VA_ARGS__))
-
-// The function returns a reference to a capability-guarded field without
-// holding the lock (accessors used for ctor/dtor-only state).
-#define OMCAST_RETURN_CAPABILITY(mu) \
-  OMCAST_THREAD_ANNOTATION(lock_returned(mu))
-
-// Escape hatch: disables the analysis for one function. Every use needs a
-// comment explaining why the discipline cannot be expressed.
-#define OMCAST_NO_THREAD_SAFETY_ANALYSIS \
-  OMCAST_THREAD_ANNOTATION(no_thread_safety_analysis)

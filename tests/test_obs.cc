@@ -565,9 +565,23 @@ TEST(SimProfiler, RssDeltaIsBaselinedAtConstruction) {
             profiler.peak_rss_bytes() - profiler.baseline_rss_bytes());
   EXPECT_LE(profiler.rss_delta_bytes(), profiler.peak_rss_bytes());
 
-  obs::ProfileAggregator agg;
-  agg.Merge(profiler);
-  EXPECT_EQ(agg.rss_delta_max_bytes(), profiler.rss_delta_bytes());
+  // A merge keeps the largest single run's delta: not a sum, and not the
+  // merged peak minus the receiving profiler's own baseline. The growing
+  // run touches 16 MB, which a later run's baseline already includes.
+  obs::SimProfiler growing;
+  const std::string block(16 << 20, 'x');
+  growing.SampleMemory(0, 0);
+  obs::SimProfiler flat;
+  flat.SampleMemory(0, 0);
+  const std::uint64_t largest =
+      std::max(growing.rss_delta_bytes(), flat.rss_delta_bytes());
+  obs::SimProfiler growing_then_flat = growing;
+  growing_then_flat.MergeFrom(flat);
+  EXPECT_EQ(growing_then_flat.rss_delta_bytes(), largest);
+  obs::SimProfiler flat_then_growing = flat;
+  flat_then_growing.MergeFrom(growing);
+  EXPECT_EQ(flat_then_growing.rss_delta_bytes(), largest);
+  EXPECT_EQ(block.back(), 'x');
 }
 
 TEST(SimProfiler, RunLoopSamplesPoolOccupancy) {
@@ -585,7 +599,7 @@ TEST(SimProfiler, RunLoopSamplesPoolOccupancy) {
   EXPECT_GT(profiler.peak_rss_bytes(), 0u);
 }
 
-TEST(SimProfiler, AggregatorMergesCells) {
+TEST(SimProfiler, MergeFromFoldsCells) {
   obs::SimProfiler a, b;
   sim::Simulator sa, sb;
   sa.SetProfiler(&a);
@@ -595,11 +609,27 @@ TEST(SimProfiler, AggregatorMergesCells) {
   sb.ScheduleAt(1.0, [] {}, "cell.other");
   sa.Run();
   sb.Run();
-  obs::ProfileAggregator agg;
-  agg.Merge(a);
-  agg.Merge(b);
-  EXPECT_EQ(agg.events(), 3u);
-  const std::string table = agg.FormatTable();
+  obs::SimProfiler merged = a;
+  merged.MergeFrom(b);
+  // Counts and times add, maxima take the max, histograms merge.
+  EXPECT_EQ(merged.events(), 3u);
+  EXPECT_EQ(merged.loop_events(), 3u);
+  EXPECT_DOUBLE_EQ(merged.loop_us(), a.loop_us() + b.loop_us());
+  const obs::SimProfiler::TagStats& work = merged.per_tag().at("cell.work");
+  EXPECT_EQ(work.count, 2u);
+  EXPECT_DOUBLE_EQ(work.total_us, a.per_tag().at("cell.work").total_us +
+                                      b.per_tag().at("cell.work").total_us);
+  EXPECT_DOUBLE_EQ(work.max_us, std::max(a.per_tag().at("cell.work").max_us,
+                                         b.per_tag().at("cell.work").max_us));
+  EXPECT_EQ(merged.per_tag().at("cell.other").count, 1u);
+  EXPECT_EQ(merged.wall_us_hist().count(), 3);
+  EXPECT_EQ(merged.queue_depth_hist().count(), 3);
+  EXPECT_EQ(merged.queue_depth_hist().max(),
+            std::max(a.queue_depth_hist().max(), b.queue_depth_hist().max()));
+  EXPECT_EQ(merged.pool_capacity_max(),
+            std::max(a.pool_capacity_max(), b.pool_capacity_max()));
+  const std::string table = merged.FormatTable();
+  EXPECT_NE(table.find("(2 runs merged)"), std::string::npos) << table;
   EXPECT_NE(table.find("cell.work"), std::string::npos);
   EXPECT_NE(table.find("cell.other"), std::string::npos);
 }

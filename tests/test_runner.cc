@@ -1,12 +1,16 @@
 // Unit tests for the experiment-orchestration engine (src/runner): the
-// work-stealing thread pool's completion/shutdown/exception semantics, the
-// hash-based per-cell seed derivation, serial-vs-parallel grid determinism
-// on synthetic cells, resumable-manifest skip logic, CI aggregation math
-// against util::RunningStat, and the shared-topology cache.
+// hash-based per-cell seed derivation, RunGrid's cell cursor (every cell
+// runs exactly once whatever the thread count, a blocked cell does not
+// strand the rest, the lowest-index cell exception is rethrown after every
+// cell has run), serial-vs-parallel grid determinism on synthetic cells,
+// resumable-manifest skip logic, CI aggregation math against
+// util::RunningStat, and the shared-topology cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
-#include <future>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 
@@ -14,95 +18,11 @@
 #include "rand/rng.h"
 #include "runner/results.h"
 #include "runner/runner.h"
-#include "runner/thread_pool.h"
 #include "runner/topology_cache.h"
 #include "util/stats.h"
 
 namespace omcast {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryTask) {
-  runner::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i)
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, ZeroThreadsSelectsHardwareConcurrency) {
-  runner::ThreadPool pool(0);
-  EXPECT_GE(pool.num_threads(), 1);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { ++count; });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, IdleWorkersStealFromABlockedWorkersQueue) {
-  runner::ThreadPool pool(2);
-  std::atomic<int> count{0};
-  std::promise<void> go_promise;
-  std::shared_future<void> go = go_promise.get_future().share();
-  std::promise<void> release_promise;
-  std::shared_future<void> release = release_promise.get_future().share();
-
-  // 50 gated quick tasks round-robin across both deques, then a blocker
-  // lands at the BACK of queue 0. Tasks hold until `go`, so workers consume
-  // at most one task each during submission; once `go` fires, worker 0's
-  // LIFO pop reaches the blocker (newest in its deque) after at most one
-  // quick task and parks on `release`. Queue 0's remaining quick tasks can
-  // then only finish by being stolen, so count==50 certifies a steal.
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&count, go] {
-      go.wait();
-      count.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  pool.Submit([go, release] {
-    go.wait();
-    release.wait();
-  });
-  go_promise.set_value();
-  while (count.load(std::memory_order_relaxed) < 50)
-    std::this_thread::yield();
-  EXPECT_GE(pool.steals(), 1) << "no task was ever stolen across deques";
-  release_promise.set_value();
-  pool.Wait();
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, WaitRethrowsTheLowestIndexException) {
-  runner::ThreadPool pool(4);
-  for (int i = 0; i < 20; ++i) {
-    pool.Submit([i] {
-      if (i == 7 || i == 13) throw std::runtime_error("boom" + std::to_string(i));
-    });
-  }
-  try {
-    pool.Wait();
-    FAIL() << "Wait() swallowed the task exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom7");
-  }
-  // The error set is cleared: a subsequent Wait() succeeds.
-  pool.Wait();
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> count{0};
-  {
-    runner::ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i)
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    // No Wait(): shutdown must still run everything before joining.
-  }
-  EXPECT_EQ(count.load(), 100);
-}
 
 // ---------------------------------------------------------------------------
 // CellSeed
@@ -179,6 +99,7 @@ TEST(RunGrid, OutcomesAreInGridOrderWithDerivedSeeds) {
         EXPECT_EQ(ctx.row_label, row);
         EXPECT_EQ(ctx.col_label, col);
         EXPECT_EQ(ctx.rep, rep);
+        EXPECT_EQ(ctx.index, index);
         EXPECT_EQ(ctx.seed,
                   runner::CellSeed(7, "test_grid", row, col, rep));
       }
@@ -205,6 +126,82 @@ TEST(RunGrid, CellExceptionPropagatesToTheCaller) {
   runner::RunnerOptions options;
   options.threads = 2;
   EXPECT_THROW(runner::RunGrid(spec, options), std::runtime_error);
+}
+
+TEST(RunGrid, RethrowsTheLowestIndexCellExceptionAfterRunningEveryCell) {
+  runner::GridSpec spec = SyntheticSpec(3);  // 18 cells
+  std::atomic<int> ran{0};
+  // The cursor claims from the back, so cell 13 fails before cell 7 does;
+  // the rethrown exception must not depend on that order.
+  spec.run = [&ran](const runner::CellContext& ctx) -> runner::CellResult {
+    ran.fetch_add(1);
+    if (ctx.index == 7 || ctx.index == 13)
+      throw std::runtime_error("boom" + std::to_string(ctx.index));
+    return runner::CellResult{};
+  };
+  runner::RunnerOptions options;
+  options.threads = 4;
+  try {
+    runner::RunGrid(spec, options);
+    FAIL() << "RunGrid swallowed the cell exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom7");
+  }
+  EXPECT_EQ(ran.load(), 18) << "a failing cell stopped the others";
+}
+
+TEST(RunGrid, ZeroThreadsSelectsHardwareConcurrency) {
+  runner::RunnerOptions options;
+  options.threads = 0;
+  const runner::GridRunSummary summary =
+      runner::RunGrid(SyntheticSpec(3), options);
+  const int hardware =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(summary.threads, std::min(hardware, 18));
+  EXPECT_EQ(summary.executed, 18);
+}
+
+TEST(RunGrid, MoreThreadsThanCellsRunsEachCellOnce) {
+  runner::GridSpec spec = SyntheticSpec(1);  // 6 cells
+  std::array<std::atomic<int>, 6> runs{};
+  spec.run = [&runs](const runner::CellContext& ctx) {
+    runs[ctx.index].fetch_add(1);
+    return runner::CellResult{};
+  };
+  runner::RunnerOptions options;
+  options.threads = 16;
+  const runner::GridRunSummary summary = runner::RunGrid(spec, options);
+  EXPECT_EQ(summary.threads, 6) << "one thread per cell at most";
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    EXPECT_EQ(runs[i].load(), 1) << "cell " << i;
+}
+
+TEST(RunGrid, ABlockedCellDoesNotStrandTheRest) {
+  // The first cell to start waits until every other cell has finished. A
+  // static split of the cells over the two threads would leave the rest of
+  // the blocked thread's share unrun and time out; with the cursor the
+  // other thread claims every remaining cell.
+  runner::GridSpec spec = SyntheticSpec(2);  // 12 cells
+  const int others = static_cast<int>(spec.cell_count()) - 1;
+  std::atomic<bool> started{false};
+  std::atomic<int> finished{0};
+  std::atomic<bool> saw_all{false};
+  spec.run = [&](const runner::CellContext&) {
+    if (!started.exchange(true)) {
+      // Gives up after about a minute.
+      for (int waits = 0; finished.load() < others && waits < 60000; ++waits)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      saw_all = finished.load() == others;
+    } else {
+      finished.fetch_add(1);
+    }
+    return runner::CellResult{};
+  };
+  runner::RunnerOptions options;
+  options.threads = 2;
+  runner::RunGrid(spec, options);
+  EXPECT_TRUE(saw_all.load()) << "the blocked cell stranded "
+                              << others - finished.load() << " cells";
 }
 
 // ---------------------------------------------------------------------------

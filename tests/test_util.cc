@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "util/flags.h"
 #include "util/table.h"
@@ -69,6 +70,52 @@ TEST(FlagSet, IntListSingleAndEmptyTokens) {
   const char* argv[] = {"prog", "--sizes=7,,9"};
   ASSERT_TRUE(f.Parse(2, const_cast<char**>(argv)));
   EXPECT_EQ(f.GetIntList("sizes"), (std::vector<int>{7, 9}));
+}
+
+// A FlagSet whose one flag, --v, was given `value` on the command line.
+FlagSet Given(const std::string& value) {
+  FlagSet f;
+  f.Define("v", "0", "");
+  const std::string arg = "--v=" + value;
+  const char* argv[] = {"prog", arg.c_str()};
+  EXPECT_TRUE(f.Parse(2, const_cast<char**>(argv)));
+  return f;
+}
+
+TEST(FlagSet, NumbersUseTheirTypesFullRange) {
+  EXPECT_EQ(Given("4294967297").GetU64("v"), 4294967297u);
+  EXPECT_EQ(Given("18446744073709551615").GetU64("v"),
+            18446744073709551615u);
+  EXPECT_EQ(Given("-2147483648").GetInt("v"), -2147483648LL);
+  EXPECT_DOUBLE_EQ(Given("-1").GetDouble("v"), -1.0);
+  EXPECT_DOUBLE_EQ(Given("2.5e3").GetDouble("v"), 2500.0);
+}
+
+TEST(FlagSet, BoolOffForms) {
+  for (const char* off : {"0", "false", "no", "off"})
+    EXPECT_FALSE(Given(off).GetBool("v")) << off;
+  for (const char* on : {"1", "true", "yes", "on"})
+    EXPECT_TRUE(Given(on).GetBool("v")) << on;
+}
+
+TEST(FlagSetDeathTest, MalformedValuesAbortNamingTheFlag) {
+  EXPECT_DEATH(Given("four").GetInt("v"), "flag --v: 'four' is not an int");
+  EXPECT_DEATH(Given("").GetInt("v"), "flag --v: '' is not an int");
+  EXPECT_DEATH(Given(" 5").GetInt("v"), "flag --v");
+  EXPECT_DEATH(Given("2000x").GetIntList("v"), "flag --v: '2000x'");
+  EXPECT_DEATH(Given("7,,x9").GetIntList("v"), "flag --v: 'x9'");
+  EXPECT_DEATH(Given("1.5s").GetDouble("v"), "flag --v: '1.5s'");
+  EXPECT_DEATH(Given("nan").GetDouble("v"), "flag --v: 'nan'");
+  EXPECT_DEATH(Given("0x10").GetU64("v"), "flag --v: '0x10'");
+  EXPECT_DEATH(Given("ture").GetBool("v"), "flag --v: 'ture' is not a bool");
+}
+
+TEST(FlagSetDeathTest, OutOfRangeValuesAbortInsteadOfWrapping) {
+  EXPECT_DEATH(Given("4294967297").GetInt("v"), "flag --v: '4294967297'");
+  EXPECT_DEATH(Given("18446744073709551616").GetU64("v"),
+               "flag --v: '18446744073709551616'");
+  EXPECT_DEATH(Given("-1").GetU64("v"), "flag --v: '-1'");
+  EXPECT_DEATH(Given("1e999").GetDouble("v"), "flag --v: '1e999'");
 }
 
 TEST(Table, AlignsColumns) {

@@ -43,7 +43,6 @@
 #include "exp/scenario.h"
 #include "net/topology.h"
 #include "obs/registry.h"
-#include "runner/topology_cache.h"
 #include "util/flags.h"
 
 namespace {
@@ -224,8 +223,9 @@ int main(int argc, char** argv) {
             << "  churn sizes: " << opt.tree_population << "/"
             << 2 * opt.tree_population << "  seed: " << driver.seed << "\n\n";
 
-  const net::Topology& topo = runner::SharedTopology(
-      net::SmallTopologyParams(), driver.seed ^ 0xde62adULL);
+  rnd::Rng topo_rng(driver.seed ^ 0xde62adULL);
+  const net::Topology topo =
+      net::Topology::Generate(net::SmallTopologyParams(), topo_rng);
 
   runner::GridSpec spec;
   spec.figure = "bakeoff";

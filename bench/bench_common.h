@@ -4,8 +4,8 @@
 // Every bench declares its figure as a runner::GridSpec -- rows (x-axis
 // points) x columns (curves) x repetitions -- and hands it to
 // RunGridBench(), which spreads the independent cells over --threads
-// threads through runner::RunGrid's cell cursor, shares one immutable
-// topology across all of them, derives each cell's seed from the cell
+// threads through runner::RunGrid's cell cursor, hands all of them the
+// bench's one read-only topology, derives each cell's seed from the cell
 // identity (never `seed + rep`), aggregates mean/stddev/95%-CI into the
 // ResultsSink the table printers below read, and writes it as a versioned
 // JSON results file (see src/runner/results.h for the schema).
@@ -63,7 +63,6 @@
 #include "obs/trace.h"
 #include "runner/results.h"
 #include "runner/runner.h"
-#include "runner/topology_cache.h"
 #include "util/flags.h"
 #include "util/log.h"
 #include "util/table.h"
@@ -208,9 +207,9 @@ struct BenchEnv {
   // The single-size experiments (Figs. 5, 6/9, 11, 13, 14 and the
   // ablations: the paper's "8000").
   int focus_size = 0;
-  // Shared immutable topology, owned by the process-wide cache; cells on
-  // every runner thread read it concurrently without locking.
-  const net::Topology* topology = nullptr;
+  // The paper's topology, generated by MakeEnv; cells on every runner
+  // thread read it concurrently, and nothing writes it after.
+  std::unique_ptr<const net::Topology> topology;
 
   const net::Topology& Topo() const { return *topology; }
   const char* ScaleLabel() const { return paper_scale ? "paper" : "small"; }
@@ -235,12 +234,16 @@ inline void DefineCommonFlags(util::FlagSet& flags) {
       .Define("measure", "-1", "measurement seconds (-1: scale default)");
 }
 
-// Builds the environment from parsed flags; the topology comes from the
-// process-wide cache so repeated grids in one process share one instance.
+// Builds the environment from parsed flags and generates its topology.
 inline BenchEnv MakeEnv(const util::FlagSet& flags) {
   BenchEnv env;
   env.driver = ReadDriverFlags(flags);
-  env.paper_scale = flags.GetString("scale") == "paper";
+  const std::string scale = flags.GetString("scale");
+  if (scale != "small" && scale != "paper") {
+    std::cerr << "unknown --scale '" << scale << "' (small|paper)\n";
+    std::exit(1);
+  }
+  env.paper_scale = scale == "paper";
   env.reps = flags.GetInt("reps");
   env.warmup_s = env.paper_scale ? 7200.0 : 5400.0;
   env.measure_s = 3600.0;
@@ -248,8 +251,9 @@ inline BenchEnv MakeEnv(const util::FlagSet& flags) {
                               : std::vector<int>{2000, 3500, 5000};
   if (!flags.GetString("sizes").empty()) env.sizes = flags.GetIntList("sizes");
   env.focus_size = env.paper_scale ? 8000 : 2000;
-  env.topology = &runner::SharedTopology(net::PaperTopologyParams(),
-                                         env.driver.seed ^ 0x70706fULL);
+  rnd::Rng topo_rng(env.driver.seed ^ 0x70706fULL);
+  env.topology = std::make_unique<const net::Topology>(
+      net::Topology::Generate(net::PaperTopologyParams(), topo_rng));
   if (flags.GetDouble("warmup") >= 0.0) env.warmup_s = flags.GetDouble("warmup");
   if (flags.GetDouble("measure") >= 0.0)
     env.measure_s = flags.GetDouble("measure");

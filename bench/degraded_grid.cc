@@ -29,7 +29,6 @@
 #include "bench_common.h"
 #include "exp/chaos.h"
 #include "net/topology.h"
-#include "runner/topology_cache.h"
 #include "util/flags.h"
 
 namespace {
@@ -137,8 +136,9 @@ int main(int argc, char** argv) {
             << "s  warmup: " << opt.warmup_s << "s  seed: " << driver.seed
             << "\n\n";
 
-  const net::Topology& topo = runner::SharedTopology(
-      net::SmallTopologyParams(), driver.seed ^ 0xde62adULL);
+  rnd::Rng topo_rng(driver.seed ^ 0xde62adULL);
+  const net::Topology topo =
+      net::Topology::Generate(net::SmallTopologyParams(), topo_rng);
 
   runner::GridSpec spec;
   spec.figure = "degraded_grid";

@@ -30,7 +30,6 @@
 #include "overlay/session.h"
 #include "proto/min_depth.h"
 #include "rand/distributions.h"
-#include "runner/topology_cache.h"
 #include "sim/simulator.h"
 #include "util/flags.h"
 
@@ -51,9 +50,10 @@ int HostsFor(int size) { return size + size / 20 + 100; }
 runner::CellResult RunCell(const SweepOptions& opt,
                            const runner::CellContext& cell) {
   const int size = opt.sizes[cell.row];
-  const net::TopologyParams tp = net::ScaleTopologyParams(HostsFor(size));
-  const net::Topology& topo =
-      runner::SharedTopology(tp, opt.seed ^ (0x5ca1eULL + cell.row));
+  // The cell's own topology, freed with the cell: rows never share one.
+  rnd::Rng topo_rng(opt.seed ^ (0x5ca1eULL + cell.row));
+  const net::Topology topo = net::Topology::Generate(
+      net::ScaleTopologyParams(HostsFor(size)), topo_rng);
 
   sim::Simulator sim;
   obs::SimProfiler prof;

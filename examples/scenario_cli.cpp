@@ -39,6 +39,19 @@ net::TopologyParams ParseTopology(const std::string& name) {
   std::exit(1);
 }
 
+// Whether choice flag `name` holds `second` rather than `first`; any other
+// value exits naming the flag.
+bool IsSecondChoice(const util::FlagSet& flags, const std::string& name,
+                    const std::string& first, const std::string& second) {
+  const std::string value = flags.GetString(name);
+  if (value != first && value != second) {
+    std::cerr << "unknown --" << name << " '" << value << "' (" << first
+              << '|' << second << ")\n";
+    std::exit(1);
+  }
+  return value == second;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -61,6 +74,10 @@ int main(int argc, char** argv) {
   if (!flags.Parse(argc, argv)) return 1;
 
   const exp::Algorithm algorithm = ParseAlgorithm(flags.GetString("algorithm"));
+  const bool random_selection =
+      IsSecondChoice(flags, "selection", "mlc", "random");
+  const bool single_source = IsSecondChoice(flags, "mode", "coop", "single");
+  const bool csv = IsSecondChoice(flags, "format", "table", "csv");
   rnd::Rng topo_rng(flags.GetU64("seed") ^ 0x70706fULL);
   const net::Topology topology =
       net::Topology::Generate(ParseTopology(flags.GetString("topology")), topo_rng);
@@ -83,12 +100,10 @@ int main(int argc, char** argv) {
     stream::StreamParams sp;
     sp.recovery_group_size = flags.GetInt("group");
     sp.buffer_s = flags.GetDouble("buffer");
-    sp.selection = flags.GetString("selection") == "random"
-                       ? core::GroupSelection::kRandom
-                       : core::GroupSelection::kMlc;
-    sp.mode = flags.GetString("mode") == "single"
-                  ? core::RecoveryMode::kSingleSource
-                  : core::RecoveryMode::kCooperative;
+    sp.selection = random_selection ? core::GroupSelection::kRandom
+                                    : core::GroupSelection::kMlc;
+    sp.mode = single_source ? core::RecoveryMode::kSingleSource
+                            : core::RecoveryMode::kCooperative;
     streaming = std::make_unique<stream::StreamingLayer>(session, sp, 0x57BEA);
   }
 
@@ -108,7 +123,7 @@ int main(int argc, char** argv) {
 
   const double starving =
       streaming ? 100.0 * streaming->ratio_stat().mean() : 0.0;
-  if (flags.GetString("format") == "csv") {
+  if (csv) {
     std::cout << "algorithm,population,disruptions,reconnections,delay_ms,"
                  "stretch,depth,starving_pct\n"
               << flags.GetString("algorithm") << ',' << population << ','

@@ -6,13 +6,13 @@
 # Usage:
 #   scripts/check_all.sh [--quick] [--jobs N]
 #
-#   --quick   skip the ThreadSanitizer configuration (the codebase is
-#             single-threaded today; TSan mostly guards future parallelism)
+#   --quick   skip the ThreadSanitizer configuration (the one check on the
+#             threads RunGrid runs cells on)
 #   --jobs N  parallel build/test jobs (default: nproc)
 #
 # Configurations (see CMakePresets.json):
 #   release     RelWithDebInfo, -Werror, no sanitizers
-#   clang       clang++ with -Wthread-safety -Werror (when clang++ installed)
+#   clang       clang++, -Werror (when clang++ installed)
 #   asan-ubsan  AddressSanitizer + UndefinedBehaviorSanitizer, DCHECK tier on
 #   tsan        ThreadSanitizer, DCHECK tier on
 #
@@ -58,7 +58,7 @@ run_config release
 if command -v clang++ >/dev/null 2>&1; then
   run_config clang
 else
-  echo "==== [clang] clang++ not installed, skipping -Wthread-safety gate ===="
+  echo "==== [clang] clang++ not installed, skipping the clang build ===="
 fi
 run_config asan-ubsan
 if [[ "$QUICK" -eq 0 ]]; then

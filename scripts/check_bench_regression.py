@@ -27,18 +27,12 @@ Usage:
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
+from validate_results import load
+
 DEFAULT_GATES = ("wedged_leases", "reentries_pending", "unrooted_members")
-
-
-def load(path):
-    doc = json.loads(path.read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: top level is not an object")
-    return doc
 
 
 def aggregate_means(doc, metric):
@@ -125,11 +119,8 @@ def main(argv):
     args = parser.parse_args(argv)
     gates = tuple(args.gate) if args.gate else DEFAULT_GATES
 
-    try:
-        current = load(args.current)
-        committed = load(args.committed)
-    except (OSError, json.JSONDecodeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    current, committed = load(args.current), load(args.committed)
+    if current is None or committed is None:
         return 1
 
     errors = []

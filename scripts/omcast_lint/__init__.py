@@ -2,8 +2,8 @@
 
 Every figure in this repository is produced by a deterministic seeded
 simulation; any source of run-to-run variation (wall clock, unseeded RNG,
-hash-order iteration, pointer-valued ties) or any unchecked concurrency
-(raw mutexes invisible to clang's -Wthread-safety) silently invalidates
+hash-order iteration, pointer-valued ties) or any shared mutable state
+between cells (a lock is the sign of one) silently invalidates
 results. This package scans C++ sources for the hazard patterns we care
 about, with:
 

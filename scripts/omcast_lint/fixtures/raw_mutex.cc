@@ -1,7 +1,8 @@
-// Fixture [raw-mutex]: raw standard-library locking primitives are
-// invisible to clang -Wthread-safety; only util::Mutex (src/util/mutex.h)
-// carries capability annotations.
+// Fixture [raw-mutex]: no locking primitive under src/; cells share only
+// immutable inputs and RunGrid's atomics.
+#include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <mutex>
 
 namespace fixture {
@@ -20,17 +21,13 @@ class BadQueue {
   int pending_ = 0;
 };
 
-// Negative: the annotated wrapper types are clean (stand-ins here; the real
-// ones live in src/util/mutex.h).
-namespace util {
-class Mutex {};
-class MutexLock {};
-}  // namespace util
+// Negative: an atomic counter, RunGrid's primitive, is clean.
+class GoodCursor {
+ public:
+  std::size_t Claim() { return next_.fetch_add(1); }
 
-class GoodQueue {
  private:
-  util::Mutex mu_;
-  int pending_ = 0;
+  std::atomic<std::size_t> next_{0};
 };
 
 }  // namespace fixture

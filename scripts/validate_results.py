@@ -2,11 +2,14 @@
 """Validates a runner results JSON (the --out file every grid bench
 writes) against the schema src/runner/results.cc emits: the pinned kind
 and schema_version, consistent grid axes, one well-formed record per
-cell, and aggregates that reference real rows/cols/metrics. CI's
-scale-smoke job runs this over a fresh bench/scale_sweep export so a
-schema drift fails the push that caused it, not the next resume.
+cell, and aggregates that reference real rows/cols/metrics. CI runs it
+over every fresh grid export so a schema drift fails the push that caused
+it, not the next resume. With --resumed-from FIRST.json, RESULTS.json must
+also be a --resume=true rerun of FIRST.json: no cell executed, and every
+cell equal to FIRST's apart from wall_ms and resumed.
 
 Usage: validate_results.py RESULTS.json [--require-metric NAME ...]
+                           [--resumed-from FIRST.json]
 """
 
 import argparse
@@ -15,11 +18,10 @@ import pathlib
 import sys
 
 EXPECTED_KIND = "omcast-figure-results"
-# v2 added the per-cell "registry" snapshot; v3 added the optional
-# "timeseries" (recovery curves) and "incidents" (per-disruption lifecycle
-# stats) blocks. Both versions validate; v3-only blocks are shape-checked
+# The runner writes v3 only (kResultsSchemaVersion) and resumes from v3
+# only; its optional "timeseries" and "incidents" blocks are shape-checked
 # when present.
-ACCEPTED_SCHEMA_VERSIONS = (2, 3)
+SCHEMA_VERSION = 3
 
 TIMESERIES_KINDS = (0, 1)  # 0 = counter-rate, 1 = gauge
 
@@ -129,10 +131,10 @@ def validate(doc, require_metrics=()):
 
     if doc["kind"] != EXPECTED_KIND:
         errors.append(f"kind is '{doc['kind']}', expected '{EXPECTED_KIND}'")
-    if doc["schema_version"] not in ACCEPTED_SCHEMA_VERSIONS:
+    if doc["schema_version"] != SCHEMA_VERSION:
         errors.append(
-            f"schema_version is {doc['schema_version']}, expected one of "
-            f"{ACCEPTED_SCHEMA_VERSIONS}"
+            f"schema_version is {doc['schema_version']}, expected "
+            f"{SCHEMA_VERSION}"
         )
 
     rows, cols, reps = set(doc["rows"]), set(doc["cols"]), doc["reps"]
@@ -201,6 +203,34 @@ def validate(doc, require_metrics=()):
     return errors
 
 
+def check_resumed(first, rerun):
+    """Errors unless `rerun` executed no cell and reproduced every cell of
+    `first`, ignoring the per-run wall_ms and resumed fields."""
+    def cells(doc):
+        return [{k: v for k, v in c.items() if k not in ("wall_ms", "resumed")}
+                for c in doc.get("cells", [])]
+
+    errors = []
+    if rerun.get("executed") != 0:
+        errors.append(f"resumed rerun executed {rerun.get('executed')} cells")
+    if cells(first) != cells(rerun):
+        errors.append("resumed cells differ from the first run")
+    return errors
+
+
+def load(path):
+    """The JSON object in `path`, or None after saying why there is none."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as err:
+        print(f"error: {path}: {err}", file=sys.stderr)
+        return None
+    if not isinstance(doc, dict):
+        print(f"error: {path}: top level is not an object", file=sys.stderr)
+        return None
+    return doc
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("results", type=pathlib.Path)
@@ -211,19 +241,22 @@ def main(argv):
         help="additionally require this metric in the aggregates "
         "(repeatable)",
     )
+    parser.add_argument(
+        "--resumed-from",
+        type=pathlib.Path,
+        help="first run's results: RESULTS must be its --resume=true rerun",
+    )
     args = parser.parse_args(argv)
 
-    try:
-        doc = json.loads(args.results.read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"error: {args.results}: {err}", file=sys.stderr)
+    doc = load(args.results)
+    if doc is None:
         return 1
-    if not isinstance(doc, dict):
-        print(f"error: {args.results}: top level is not an object",
-              file=sys.stderr)
-        return 1
-
     errors = validate(doc, args.require_metric)
+    if args.resumed_from and not errors:
+        first = load(args.resumed_from)
+        if first is None:
+            return 1
+        errors = check_resumed(first, doc)
     for line in errors:
         print(f"INVALID {args.results}: {line}", file=sys.stderr)
     if not errors:
@@ -231,6 +264,8 @@ def main(argv):
             f"{args.results}: valid {doc['kind']} v{doc['schema_version']} "
             f"({doc['figure']}, {len(doc['cells'])} cells)"
         )
+        if args.resumed_from:
+            print(f"resume OK: {doc.get('resumed')} cells resumed, none executed")
     return 1 if errors else 0
 
 

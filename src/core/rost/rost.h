@@ -43,11 +43,11 @@
 // the lease counters) is *simulated* protocol state driven by one
 // sim::Simulator event loop, so a RostProtocol is confined to the runner
 // cell that owns its Session -- host-side locking would be wrong, not just
-// unnecessary. Nothing in this class may grow process-shared mutable state;
-// anything shared across cell threads belongs behind util::Mutex with
-// OMCAST_GUARDED_BY annotations (see util/thread_annotations.h), and the
-// omcast-lint rost-event-emit rule separately pins every one of these
-// transition functions to its obs::EventKind trace emission.
+// unnecessary. Nothing in this class may grow process-shared mutable state:
+// cells share only immutable inputs and RunGrid's atomics, and omcast-lint's
+// raw-mutex rule keeps src/ free of locks. Its rost-event-emit rule
+// separately pins every one of these transition functions to its
+// obs::EventKind trace emission.
 #pragma once
 
 #include <cstdint>

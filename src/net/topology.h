@@ -112,11 +112,11 @@ struct FlatEdge {
 };
 
 // Thread-safety: a Topology is immutable after Generate() returns -- every
-// member function is const and there are no mutable caches -- so a single
-// instance may be shared read-only across the experiment runner's worker
-// threads (see runner::SharedTopology). Keep it that way: any lazily
-// computed state added here must either be built eagerly in Generate() or
-// carry its own synchronization.
+// member function is const and there are no mutable caches -- so a bench
+// generates one before its grid and every runner cell reads it, on any
+// thread, without a lock. Keep it that way: any lazily computed state
+// added here must be built eagerly in Generate(), since the program takes
+// no locks.
 class Topology {
  public:
   // Generates a topology; all randomness comes from `rng`.

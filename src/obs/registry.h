@@ -11,17 +11,17 @@
 // by the instrumentation site, and quantiles interpolated from the bucket
 // counts (cross-checked against util::RunningStat by tests/test_obs.cc).
 //
-// Thread-compatibility contract (checked statically, not with a lock): a
-// Registry is deliberately unsynchronized because it is *cell-confined* --
-// each runner grid cell builds its own instance on the thread that claimed
-// the cell and only the Flatten()ed value crosses threads, via the cell's
-// pre-assigned result slot. Cross-thread aggregation goes through
-// MergeFrom on a registry the caller owns (after runner::RunGrid has
-// returned), never through sharing one live Registry between threads. Adding a mutex here
-// would buy nothing and put a lock acquisition on every protocol counter
-// bump; the omcast-lint raw-mutex rule plus the clang -Wthread-safety
-// preset keep the synchronized world (util::Mutex users) and this
-// single-owner world honestly separated.
+// Thread-compatibility contract (no lock): a Registry is deliberately
+// unsynchronized because it is *cell-confined* -- each runner grid cell
+// builds its own instance on the thread that claimed the cell and only the
+// Flatten()ed value crosses threads, via the cell's pre-assigned result
+// slot. Cross-thread aggregation goes through MergeFrom on a registry the
+// caller owns (after runner::RunGrid has returned), never through sharing
+// one live Registry between threads. Adding a mutex here would buy nothing
+// and put a lock acquisition on every protocol counter bump; the program
+// takes no locks, and the omcast-lint raw-mutex rule keeps src/ that way
+// (cells share only immutable inputs and RunGrid's atomics; the TSan job
+// checks it).
 #pragma once
 
 #include <map>

@@ -24,7 +24,6 @@
 #include "overlay/heartbeat.h"
 #include "overlay/session.h"
 #include "runner/runner.h"
-#include "runner/topology_cache.h"
 #include "sim/fault_plane.h"
 #include "sim/simulator.h"
 #include "stream/packet_sim.h"
@@ -56,12 +55,18 @@ void HashDispatches(sim::Simulator& sim, util::RollingHash& hash) {
   });
 }
 
+// The tiny topology most scenarios below run on: fixed across their
+// seeds, so only churn varies. The grids build it before RunGrid and share
+// it read-only across their threads.
+net::Topology TinyTopology() {
+  rnd::Rng topo_rng(1);
+  return net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+}
+
 // One full scenario run; everything observable is folded into the digest.
 std::uint64_t RunScenarioDigest(std::uint64_t seed) {
   sim::Simulator sim;
-  rnd::Rng topo_rng(1);  // fixed topology across seeds; churn varies
-  const net::Topology topology =
-      net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+  const net::Topology topology = TinyTopology();
 
   overlay::SessionParams sp;
   sp.rejoin_delay_s = 15.0;  // paper's detection + rejoin outage
@@ -113,9 +118,7 @@ std::uint64_t RunScenarioDigest(std::uint64_t seed) {
 // bit-identically under the same seed.
 std::uint64_t RunChaosDigest(std::uint64_t seed) {
   sim::Simulator sim;
-  rnd::Rng topo_rng(1);
-  const net::Topology topology =
-      net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+  const net::Topology topology = TinyTopology();
 
   overlay::SessionParams sp;
   sp.rejoin_delay_s = 15.0;
@@ -381,8 +384,8 @@ TEST(CliqueReplay, DigestSeesTheSeed) {
 
 // ---------------------------------------------------------------------------
 // Grid-level determinism: the experiment runner must produce bit-identical
-// per-cell results whether the grid executes serially or across a stolen-work
-// thread pool. Each cell runs a real (small) tree scenario against the shared
+// per-cell results whether the grid executes serially or on four threads.
+// Each cell runs a real (small) tree scenario against the grid's one
 // read-only topology; the digest covers every metric and sample of every
 // cell, so a data race on the topology, a scheduling-dependent seed, or an
 // output-slot mixup all fail this test.
@@ -397,8 +400,7 @@ runner::GridRunSummary RunScenarioGrid(int threads) {
   spec.cols = {"min-depth", "ROST"};
   spec.reps = 2;
   spec.headline_metric = "disruptions";
-  const net::Topology& topology =
-      runner::SharedTopology(net::TinyTopologyParams(), 1);
+  const net::Topology topology = TinyTopology();
   spec.run = [&topology](const runner::CellContext& cell) {
     exp::ScenarioConfig config;
     config.population = cell.row == 0 ? 40 : 60;
@@ -462,8 +464,7 @@ std::vector<std::string> RunTracedGridJsonl(int threads) {
   spec.rows = {"40", "60"};
   spec.cols = {"ROST"};
   spec.reps = 2;
-  const net::Topology& topology =
-      runner::SharedTopology(net::TinyTopologyParams(), 1);
+  const net::Topology topology = TinyTopology();
   std::vector<std::string> jsonl(spec.cell_count());
   spec.run = [&topology, &jsonl,
               reps = spec.reps](const runner::CellContext& cell) {
@@ -518,8 +519,7 @@ runner::GridRunSummary RunDegradedGrid(int threads) {
   spec.cols = {"loss=5%"};
   spec.reps = 2;
   spec.headline_metric = "degraded_time_fraction";
-  const net::Topology& topology =
-      runner::SharedTopology(net::TinyTopologyParams(), 1);
+  const net::Topology topology = TinyTopology();
   spec.run = [&topology](const runner::CellContext& cell) {
     exp::ChaosConfig c;
     c.population = 50;
@@ -613,8 +613,7 @@ runner::GridRunSummary RunCliqueGrid(int threads) {
   spec.cols = {"clique"};
   spec.reps = 2;
   spec.headline_metric = "disruptions";
-  const net::Topology& topology =
-      runner::SharedTopology(net::TinyTopologyParams(), 1);
+  const net::Topology topology = TinyTopology();
   spec.run = [&topology](const runner::CellContext& cell) {
     runner::CellResult out;
     if (cell.row == 0) {

@@ -119,10 +119,11 @@ TEST_F(PacketSimTest, CooperativeRecoveryFillsTheHole) {
 
 // The headline validation: the per-outage analytic model (StreamingLayer)
 // and the per-packet simulator agree on the starving-time scale under
-// identical churn and identical failures.
+// identical churn and identical failures, within a factor of 1.5 plus an
+// absolute floor of 0.004.
 class PacketVsOutageModel : public ::testing::TestWithParam<int> {};
 
-TEST_P(PacketVsOutageModel, ModelsAgreeWithinFactorTwo) {
+TEST_P(PacketVsOutageModel, ModelsAgreeWithinFactorOneAndAHalfPlusFloor) {
   const int group_size = GetParam();
   rnd::Rng topo_rng(1);
   const net::Topology topology =
@@ -169,12 +170,13 @@ TEST_P(PacketVsOutageModel, ModelsAgreeWithinFactorTwo) {
   // simulator sees real propagation, stripe queueing and reattach-boundary
   // holes that the analytic model idealizes away, so it carries a small
   // absolute floor (a fraction of a percent: ~0.2-0.3 s per outage) on top
-  // of the modelled stall; a factor-5 band plus that floor still separates
-  // cleanly from the order-of-magnitude effects the figures report.
+  // of the modelled stall. At group sizes 1 and 2 the two agree within
+  // 1.22x and 1.09x on these seeds; at group size 3 the modelled stall
+  // (~0.0007) sits below the floor, so only the floor bounds that case.
   EXPECT_GT(a, 0.0);
   EXPECT_GT(b, 0.0);
-  EXPECT_LT(a, b * 5.0 + 0.004);
-  EXPECT_GT(a, b / 5.0 - 0.004);
+  EXPECT_LT(a, b * 1.5 + 0.004);
+  EXPECT_GT(a, b / 1.5 - 0.004);
 }
 
 INSTANTIATE_TEST_SUITE_P(GroupSizes, PacketVsOutageModel,

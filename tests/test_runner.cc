@@ -3,8 +3,8 @@
 // runs exactly once whatever the thread count, a blocked cell does not
 // strand the rest, the lowest-index cell exception is rethrown after every
 // cell has run), serial-vs-parallel grid determinism on synthetic cells,
-// resumable-manifest skip logic, CI aggregation math against
-// util::RunningStat, and the shared-topology cache.
+// resumable-manifest skip logic, and CI aggregation math against
+// util::RunningStat.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,11 +14,9 @@
 #include <stdexcept>
 #include <thread>
 
-#include "net/topology.h"
 #include "rand/rng.h"
 #include "runner/results.h"
 #include "runner/runner.h"
-#include "runner/topology_cache.h"
 #include "util/stats.h"
 
 namespace omcast {
@@ -368,29 +366,6 @@ TEST(ResultsSink, MissingMetricShrinksN) {
                                  runner::RunGrid(spec, options));
   EXPECT_EQ(sink.Stat(0, 0, "sometimes").count(), 2u);
   EXPECT_EQ(sink.Stat(0, 0, "absent").count(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Shared topology cache
-// ---------------------------------------------------------------------------
-
-TEST(TopologyCache, SameKeyReturnsTheSameInstance) {
-  const net::TopologyParams params = net::TinyTopologyParams();
-  const net::Topology& a = runner::SharedTopology(params, 42);
-  const net::Topology& b = runner::SharedTopology(params, 42);
-  EXPECT_EQ(&a, &b) << "cache rebuilt an identical topology";
-}
-
-TEST(TopologyCache, DifferentSeedOrParamsBuildDistinctInstances) {
-  const net::TopologyParams params = net::TinyTopologyParams();
-  const net::Topology& a = runner::SharedTopology(params, 42);
-  const net::Topology& b = runner::SharedTopology(params, 43);
-  EXPECT_NE(&a, &b);
-  net::TopologyParams bigger = params;
-  bigger.nodes_per_stub_domain += 1;
-  const net::Topology& c = runner::SharedTopology(bigger, 42);
-  EXPECT_NE(&a, &c);
-  EXPECT_GT(c.num_stub_nodes(), a.num_stub_nodes());
 }
 
 }  // namespace

@@ -15,9 +15,10 @@
 //   --threads=N           worker threads (0 = all hardware threads); absent
 //                         on scale_sweep, whose cells run one at a time.
 //   --out=DIR             write DIR/<figure>.json (empty: no JSON output).
-//   --resume=true         reuse matching cells from DIR/<figure>.json.
 //   --progress=true|false per-cell progress + ETA lines on stderr.
 //   --log-level=LEVEL     debug|info|warn|error (default warn).
+// An unknown --log-level, or an --out or --trace-stream directory that
+// cannot be created, exits 1 before any cell runs.
 //
 // Figure flags, on the BenchEnv benches (DefineCommonFlags, which also
 // registers the driver flags):
@@ -50,8 +51,8 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -77,7 +78,6 @@ struct Driver {
   std::uint64_t seed = 1;
   int threads = 1;  // a bench without --threads runs one cell at a time
   bool progress = true;
-  bool resume = false;
   std::string out_dir;
 };
 
@@ -87,7 +87,6 @@ inline void DefineDriverFlags(util::FlagSet& flags,
                               const char* threads_default) {
   flags.Define("seed", "1", "base RNG seed")
       .Define("out", "", "directory for <figure>.json results (empty: none)")
-      .Define("resume", "false", "reuse matching cells from --out JSON")
       .Define("progress", "true", "per-cell progress/ETA lines on stderr")
       .Define("log-level", "warn", "debug | info | warn | error");
   if (threads_default != nullptr)
@@ -95,9 +94,22 @@ inline void DefineDriverFlags(util::FlagSet& flags,
                  "worker threads (0 = hardware concurrency)");
 }
 
-// Reads the driver flags back from parsed `flags` and applies --log-level
-// (an unknown level keeps the current one and warns). `threads_flag` says
-// whether DefineDriverFlags registered --threads.
+// Creates `dir` and its parents for --`flag` (nothing when `dir` is
+// empty). When that fails -- `dir` names a regular file, say -- names the
+// flag and the path and exits 1.
+inline void CreateFlagDirectory(const char* flag, const std::string& dir) {
+  if (dir.empty()) return;
+  std::error_code error;
+  std::filesystem::create_directories(dir, error);
+  if (!error) return;
+  std::cerr << "cannot create --" << flag << " directory '" << dir
+            << "': " << error.message() << "\n";
+  std::exit(1);
+}
+
+// Reads the driver flags back from parsed `flags`, applies --log-level and
+// creates the --out directory; exits 1 when either fails. `threads_flag`
+// says whether DefineDriverFlags registered --threads.
 inline Driver ReadDriverFlags(const util::FlagSet& flags,
                               bool threads_flag = true) {
   const std::string level = flags.GetString("log-level");
@@ -105,15 +117,17 @@ inline Driver ReadDriverFlags(const util::FlagSet& flags,
   else if (level == "info") util::SetLogLevel(util::LogLevel::kInfo);
   else if (level == "warn") util::SetLogLevel(util::LogLevel::kWarn);
   else if (level == "error") util::SetLogLevel(util::LogLevel::kError);
-  else
+  else {
     std::cerr << "unknown --log-level '" << level
-              << "' (want debug|info|warn|error); keeping current level\n";
+              << "' (debug|info|warn|error)\n";
+    std::exit(1);
+  }
   Driver driver;
   driver.seed = flags.GetU64("seed");
   if (threads_flag) driver.threads = flags.GetInt("threads");
   driver.progress = flags.GetBool("progress");
-  driver.resume = flags.GetBool("resume");
   driver.out_dir = flags.GetString("out");
+  CreateFlagDirectory("out", driver.out_dir);
   return driver;
 }
 
@@ -133,8 +147,7 @@ struct GridRun {
 
 // Executes the grid on the runner and wraps the outcomes in a ResultsSink
 // whose manifest carries `scale`, `warmup_s` and `measure_s`. With --out,
-// writes DIR/<figure>.json before any table is printed (and, with --resume,
-// first reuses matching cells from a previous file at that path).
+// writes DIR/<figure>.json before any table is printed.
 inline GridRun RunGridBench(const Driver& driver, const runner::GridSpec& spec,
                             const std::string& scale, double warmup_s,
                             double measure_s) {
@@ -142,28 +155,6 @@ inline GridRun RunGridBench(const Driver& driver, const runner::GridSpec& spec,
   options.threads = driver.threads;
   options.base_seed = driver.seed;
   options.progress = driver.progress;
-
-  const std::filesystem::path out_path =
-      driver.out_dir.empty()
-          ? std::filesystem::path{}
-          : std::filesystem::path(driver.out_dir) / (spec.figure + ".json");
-  runner::Json resume_doc;
-  if (driver.resume && !driver.out_dir.empty()) {
-    std::ifstream in(out_path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      std::string error;
-      resume_doc = runner::Json::Parse(buf.str(), &error);
-      if (resume_doc.is_object()) {
-        options.resume = &resume_doc;
-      } else {
-        std::cerr << "[" << spec.figure << "] ignoring unreadable resume file "
-                  << out_path << ": " << error << "\n";
-      }
-    }
-  }
-
   runner::GridRunSummary summary = runner::RunGrid(spec, options);
   runner::RunInfo info;
   info.scale = scale;
@@ -174,15 +165,15 @@ inline GridRun RunGridBench(const Driver& driver, const runner::GridSpec& spec,
   GridRun run{runner::ResultsSink(spec, info, std::move(summary)), 0};
 
   if (!driver.out_dir.empty()) {
-    std::filesystem::create_directories(driver.out_dir);
+    const std::filesystem::path out_path =
+        std::filesystem::path(driver.out_dir) / (spec.figure + ".json");
     if (!run.sink.WriteJson(out_path.string())) {
       std::cerr << "[" << spec.figure << "] FAILED to write " << out_path
                 << "\n";
       run.status = 1;
     } else {
       std::cerr << "[" << spec.figure << "] wrote " << out_path << " ("
-                << run.sink.summary().executed << " cells run, "
-                << run.sink.summary().resumed << " resumed, "
+                << run.sink.cells().size() << " cells, "
                 << run.sink.summary().threads << " threads, "
                 << util::FormatDouble(run.sink.summary().wall_ms / 1000.0, 1)
                 << "s)\n";
@@ -298,13 +289,15 @@ inline void DefineObservabilityFlags(util::FlagSet& flags, bool profile) {
                  "profile simulator dispatch (per-tag counts/wall-time)");
 }
 
-// Reads them back from parsed `flags`; `profile` as given to
+// Reads them back from parsed `flags` and creates the --trace-stream
+// directory (exits 1 when that fails); `profile` as given to
 // DefineObservabilityFlags.
 inline Observability ReadObservabilityFlags(const util::FlagSet& flags,
                                             bool profile) {
   Observability o;
   o.timeseries_window_s = flags.GetDouble("timeseries");
   o.trace_dir = flags.GetString("trace-stream");
+  CreateFlagDirectory("trace-stream", o.trace_dir);
   o.profile = profile && flags.GetBool("profile");
   return o;
 }
@@ -329,12 +322,12 @@ inline void ExportTimeSeries(const obs::Registry& reg,
 // bounded-ring tracer with a JsonlStreamSink writing the cell's FULL event
 // history to DIR/<figure>.<row>.<col>.rep<N>.trace.jsonl -- the sink sees
 // every emission before ring eviction, so nothing is lost on long runs.
-// tracer() is null when streaming is off.
+// ReadObservabilityFlags has created DIR. tracer() is null when streaming
+// is off.
 class CellTraceStream {
  public:
   CellTraceStream(const std::string& dir, const runner::CellContext& cell) {
     if (dir.empty()) return;
-    std::filesystem::create_directories(dir);
     const std::string name = Sanitize(cell.figure) + "." +
                              Sanitize(cell.row_label) + "." +
                              Sanitize(cell.col_label) + ".rep" +
@@ -416,28 +409,24 @@ class CellObservability {
 
 // --profile's per-cell profilers, indexed by runner::CellContext::index.
 // The bench sizes the slots before the grid runs and each cell fills only
-// its own, so they need no lock. Empty when --profile is off; a resumed
-// cell never runs and leaves its slot null. (Heap slots, not
-// std::optional: g++ 12 reports a false -Wmaybe-uninitialized inside
+// its own, so they need no lock. Empty when --profile is off. (Heap slots,
+// not std::optional: g++ 12 reports a false -Wmaybe-uninitialized inside
 // std::optional<SimProfiler>::emplace under the sanitizer flags.)
 using ProfileSlots = std::vector<std::unique_ptr<obs::SimProfiler>>;
 
-// Folds the filled slots in grid order into the first of them and prints
-// the one table. Call it after RunGrid has returned, when no cell writes a
-// slot any more.
+// Folds the slots in grid order into the first of them and prints the one
+// table. Call it after RunGrid has returned, when every cell has filled
+// its slot and none writes one any more.
 inline void PrintProfile(ProfileSlots& profiles) {
   if (profiles.empty()) return;
-  obs::SimProfiler* total = nullptr;
-  for (const std::unique_ptr<obs::SimProfiler>& profile : profiles) {
-    if (!profile) continue;
-    if (total) total->MergeFrom(*profile);
-    else total = profile.get();
-  }
-  if (!total || total->events() == 0) {
+  obs::SimProfiler& total = *profiles.front();
+  for (std::size_t i = 1; i < profiles.size(); ++i)
+    total.MergeFrom(*profiles[i]);
+  if (total.events() == 0) {
     std::cout << "\n(profile: no simulator events recorded)\n";
     return;
   }
-  std::cout << "\n" << total->FormatTable();
+  std::cout << "\n" << total.FormatTable();
 }
 
 // ---------------------------------------------------------------------------

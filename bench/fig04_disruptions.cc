@@ -20,7 +20,7 @@
 // stay far below one; the centralized relaxed BO/TO pay the most.
 //
 // The grid keeps the figure name "fig04_disruptions": it keys every cell
-// seed and the --resume check, and names the results JSON.
+// seed and names the results JSON.
 #include <iostream>
 #include <memory>
 

@@ -11,7 +11,7 @@
 // without converging.
 //
 // The grid keeps the figure name "fig06_member_disruptions": it keys every
-// cell seed and the --resume check, and names the results JSON.
+// cell seed and names the results JSON.
 #include <iostream>
 
 #include "bench_common.h"

@@ -6,9 +6,10 @@
 // the simulator hot-path numbers from obs::SimProfiler. The headline is
 // simulated seconds per run-loop wall second (queue operations included):
 // an event count says little once work stops being one event per beat.
-// Dispatched events and events per wall second stay as columns, with peak
-// RSS, calendar event-pool occupancy, and the calendar's bucket storage at
-// the end of the cell.
+// Dispatched events and events per wall second stay as columns, with
+// calendar event-pool occupancy and the calendar's bucket storage at the
+// end of the cell. The process peak RSS prints once, after the table: the
+// largest row sets it, and every row run after that one reads it too.
 //
 // One column, "calendar+landmark": the production configuration (calendar
 // event queue, DelayModel::kLandmark delay oracle), which fits 10^6
@@ -17,6 +18,7 @@
 //
 //   ./bench/scale_sweep [--sizes=100000,1000000] [--duration=60]
 //                       [--out=results]
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <memory>
@@ -75,13 +77,11 @@ runner::CellResult RunCell(const SweepOptions& opt,
   out.metrics["events_per_sec"] = prof.events_per_sec();
   out.metrics["loop_wall_s"] = prof.loop_us() * 1e-6;
   out.metrics["sim_s_per_wall_s"] = opt.duration_s / (prof.loop_us() * 1e-6);
-  // peak_rss_mb is the *process* high-water mark (monotone across cells in
-  // one grid run -- a late cell inherits earlier cells' peak); rss_delta_mb
-  // is the growth attributable to this cell alone.
+  // The *process* high-water mark when the cell ends: monotone across the
+  // cells of one grid run, so a cell inherits the peak of any cell before
+  // it.
   out.metrics["peak_rss_mb"] =
       static_cast<double>(prof.peak_rss_bytes()) / 1e6;
-  out.metrics["rss_delta_mb"] =
-      static_cast<double>(prof.rss_delta_bytes()) / 1e6;
   out.metrics["pool_live_max"] = static_cast<double>(prof.pool_live_max());
   out.metrics["pool_capacity_max"] =
       static_cast<double>(prof.pool_capacity_max());
@@ -142,8 +142,6 @@ int main(int argc, char** argv) {
       {"events", "events", 0},
       {"events/sec", "events_per_sec", 0},
       {"loop wall (s)", "loop_wall_s", 2},
-      {"proc peak RSS (MB)", "peak_rss_mb", 1},
-      {"cell RSS delta (MB)", "rss_delta_mb", 1},
       {"pool live max", "pool_live_max", 0},
       {"bucket storage (MB)", "bucket_storage_mb", 2},
       {"delay tables (MB)", "delay_table_mb", 2},
@@ -151,5 +149,13 @@ int main(int argc, char** argv) {
   };
   bench::PrintMetricColumnsTable(spec, sink, 0, columns,
                                  "calendar queue + landmark oracle");
+  double peak_rss_mb = 0.0;
+  for (std::size_t row = 0; row < spec.rows.size(); ++row)
+    peak_rss_mb =
+        std::max(peak_rss_mb, sink.Stat(row, 0, "peak_rss_mb").mean());
+  std::cout << "\nprocess peak RSS: " << util::FormatDouble(peak_rss_mb, 1)
+            << " MB (set by the largest row, "
+            << *std::max_element(opt.sizes.begin(), opt.sizes.end())
+            << " members)\n";
   return status;
 }

@@ -49,8 +49,6 @@ def summarize_figure(doc):
             "reps": doc.get("reps"),
             "cells": len(cells),
         },
-        "executed": doc.get("executed"),
-        "resumed": doc.get("resumed"),
         "wall_ms": doc.get("wall_ms_total"),
         "max_cell_wall_ms": max(
             (c.get("wall_ms", 0.0) for c in cells), default=0.0

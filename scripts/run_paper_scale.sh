@@ -2,32 +2,27 @@
 # Regenerates every paper figure at the full Section 5 scale through the
 # parallel experiment runner into results/paper/ (.txt tables + .json
 # per-cell results). Measured with THREADS=4 on a 4-core VM (g++ 12,
-# RelWithDebInfo): the tree-size sweep (fig04_disruptions, which prints
-# Figs. 4, 7, 8 and 10) took 86 s with 3 reps. Its critical path is the
-# centralized relaxed-TO/BO cells, which scan the whole tree per join: 29 s
-# and 21 s at 14000 members in a 1-rep run, where no other cell took over
-# 2.5 s. Fig. 12 took 14 s and Fig. 14 3.3 s, each with 1 rep. The sweep
-# is resumable: rerun with RESUME=1 after an interruption and
-# already-computed cells are reused from the .json files (seed-checked, so
-# stale caches re-run instead of poisoning the figures).
+# RelWithDebInfo), the whole sweep took 12 min 2 s of wall time (45 min of
+# CPU). The tree-size sweep (fig04_disruptions, which prints Figs. 4, 7, 8
+# and 10 from 75 cells) took 244 s. Its critical path is the centralized
+# relaxed-BO/TO cells, which scan the whole tree per join: the longest, at
+# 14000 members, took 94 s. Fig. 12 took 143 s, Fig. 13 123 s, and every
+# other bench 62 s or less, so an interrupted sweep is simply rerun.
 #
 # Environment knobs:
 #   THREADS=N   worker threads per bench (default: all cores)
-#   RESUME=1    reuse per-cell results from a previous partial sweep
 set -u
 cd "$(dirname "$0")/.."
 
 BUILD=${BUILD:-build}
 OUT=results/paper
 THREADS=${THREADS:-0}
-RESUME=${RESUME:-0}
 mkdir -p "$OUT"
 
 OMCAST_GIT_SHA=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 export OMCAST_GIT_SHA
 
 common=(--scale=paper --threads="$THREADS" --out="$OUT")
-if [ "$RESUME" = "1" ]; then common+=(--resume=true); fi
 
 status=0
 run() {

@@ -8,14 +8,12 @@
 #
 # Environment knobs:
 #   THREADS=N   worker threads per bench (default: all cores)
-#   RESUME=1    reuse per-cell results from a previous partial sweep
 set -u
 cd "$(dirname "$0")/.."
 
 BUILD=${BUILD:-build}
 OUT=results/small
 THREADS=${THREADS:-0}
-RESUME=${RESUME:-0}
 mkdir -p "$OUT"
 
 # Stamped into every results manifest so a JSON file is traceable to a tree.
@@ -23,7 +21,6 @@ OMCAST_GIT_SHA=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 export OMCAST_GIT_SHA
 
 common=(--threads="$THREADS" --out="$OUT")
-if [ "$RESUME" = "1" ]; then common+=(--resume=true); fi
 
 status=0
 # fig04_disruptions prints Figs. 4, 7, 8 and 10 from one tree-size sweep;

@@ -4,12 +4,9 @@ writes) against the schema src/runner/results.cc emits: the pinned kind
 and schema_version, consistent grid axes, one well-formed record per
 cell, and aggregates that reference real rows/cols/metrics. CI runs it
 over every fresh grid export so a schema drift fails the push that caused
-it, not the next resume. With --resumed-from FIRST.json, RESULTS.json must
-also be a --resume=true rerun of FIRST.json: no cell executed, and every
-cell equal to FIRST's apart from wall_ms and resumed.
+it.
 
 Usage: validate_results.py RESULTS.json [--require-metric NAME ...]
-                           [--resumed-from FIRST.json]
 """
 
 import argparse
@@ -18,10 +15,9 @@ import pathlib
 import sys
 
 EXPECTED_KIND = "omcast-figure-results"
-# The runner writes v3 only (kResultsSchemaVersion) and resumes from v3
-# only; its optional "timeseries" and "incidents" blocks are shape-checked
-# when present.
-SCHEMA_VERSION = 3
+# The runner writes v4 only (kResultsSchemaVersion); its optional
+# "timeseries" and "incidents" blocks are shape-checked when present.
+SCHEMA_VERSION = 4
 
 TIMESERIES_KINDS = (0, 1)  # 0 = counter-rate, 1 = gauge
 
@@ -203,21 +199,6 @@ def validate(doc, require_metrics=()):
     return errors
 
 
-def check_resumed(first, rerun):
-    """Errors unless `rerun` executed no cell and reproduced every cell of
-    `first`, ignoring the per-run wall_ms and resumed fields."""
-    def cells(doc):
-        return [{k: v for k, v in c.items() if k not in ("wall_ms", "resumed")}
-                for c in doc.get("cells", [])]
-
-    errors = []
-    if rerun.get("executed") != 0:
-        errors.append(f"resumed rerun executed {rerun.get('executed')} cells")
-    if cells(first) != cells(rerun):
-        errors.append("resumed cells differ from the first run")
-    return errors
-
-
 def load(path):
     """The JSON object in `path`, or None after saying why there is none."""
     try:
@@ -241,22 +222,12 @@ def main(argv):
         help="additionally require this metric in the aggregates "
         "(repeatable)",
     )
-    parser.add_argument(
-        "--resumed-from",
-        type=pathlib.Path,
-        help="first run's results: RESULTS must be its --resume=true rerun",
-    )
     args = parser.parse_args(argv)
 
     doc = load(args.results)
     if doc is None:
         return 1
     errors = validate(doc, args.require_metric)
-    if args.resumed_from and not errors:
-        first = load(args.resumed_from)
-        if first is None:
-            return 1
-        errors = check_resumed(first, doc)
     for line in errors:
         print(f"INVALID {args.results}: {line}", file=sys.stderr)
     if not errors:
@@ -264,8 +235,6 @@ def main(argv):
             f"{args.results}: valid {doc['kind']} v{doc['schema_version']} "
             f"({doc['figure']}, {len(doc['cells'])} cells)"
         )
-        if args.resumed_from:
-            print(f"resume OK: {doc.get('resumed')} cells resumed, none executed")
     return 1 if errors else 0
 
 

@@ -7,9 +7,9 @@
 // Determinism contract: a cell's seed is derived by hashing
 // (base_seed, figure, row label, column label, rep) -- never `seed + i` --
 // so the seed depends only on the cell's *identity*. Reordering the grid,
-// changing the thread count, resuming a partial sweep, or running two
-// figures in one process cannot shift any cell onto a different random
-// stream, which is what makes serial and parallel runs bit-identical.
+// changing the thread count, or running two figures in one process cannot
+// shift any cell onto a different random stream, which is what makes
+// serial and parallel runs bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -68,12 +68,11 @@ struct CellContext {
   std::uint64_t seed = 0;  // derived via CellSeed()
 };
 
-// One executed (or resumed) cell.
+// One executed cell.
 struct CellOutcome {
   CellContext ctx;
   CellResult result;
-  double wall_ms = 0.0;      // host wall-clock; excluded from digests
-  bool resumed = false;      // satisfied from a previous results file
+  double wall_ms = 0.0;  // host wall-clock; excluded from digests
 };
 
 // A declarative figure grid. The cell function must be thread-safe with

@@ -116,8 +116,8 @@ void AppendEscaped(std::string& out, const std::string& s) {
 }
 
 // Shortest round-trip double representation: deterministic across runs and
-// parses back to the exact same bits, which keeps resumed sweeps and the
-// serial-vs-parallel digest comparison honest.
+// parses back to the exact same bits, which keeps the results files exact
+// and the serial-vs-parallel digest comparison honest.
 void AppendDouble(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";

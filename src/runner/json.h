@@ -8,8 +8,8 @@
 //     (the serial-vs-parallel digest test depends on this);
 //   * lossless integers -- 64-bit seeds do not fit in a double, so numbers
 //     remember whether they were parsed/built as uint64, int64 or double;
-//   * resumable sweeps -- Parse() reads back a previously written results
-//     file so the runner can skip cells that are already present.
+//   * exact round trips -- Parse() reads a dumped document back to the same
+//     values, which is how the tests check Dump() and the trace exports.
 //
 // Not a general-purpose JSON library: no comments, no trailing commas, no
 // \u surrogate pairs beyond the BMP, numbers must be finite (NaN/Inf are
@@ -71,7 +71,7 @@ class Json {
   const Object& AsObject() const;
 
   // Object access. `Set` appends or overwrites; `Find` returns nullptr when
-  // the key is absent (the resume path probes optional fields with it).
+  // the key is absent (the tests probe optional fields with it).
   Json& Set(std::string key, Json value);
   const Json* Find(std::string_view key) const;
 

@@ -6,6 +6,9 @@
 
 namespace omcast::runner {
 
+namespace {
+
+// Serializes one outcome to its "cells" array entry.
 Json CellToJson(const CellOutcome& cell) {
   Json j = Json::MakeObject();
   j.Set("row", cell.ctx.row_label);
@@ -13,7 +16,6 @@ Json CellToJson(const CellOutcome& cell) {
   j.Set("rep", cell.ctx.rep);
   j.Set("seed", cell.ctx.seed);
   j.Set("wall_ms", cell.wall_ms);
-  j.Set("resumed", cell.resumed);
   Json metrics = Json::MakeObject();
   for (const auto& [name, value] : cell.result.metrics)
     metrics.Set(name, value);
@@ -74,125 +76,7 @@ Json CellToJson(const CellOutcome& cell) {
   return j;
 }
 
-bool CellFromJson(const Json& cell, CellOutcome* out) {
-  const Json* metrics = cell.Find("metrics");
-  if (metrics == nullptr || !metrics->is_object()) return false;
-  CellResult result;
-  for (const auto& [name, value] : metrics->AsObject()) {
-    if (!value.is_number()) return false;
-    result.metrics[name] = value.AsDouble();
-  }
-  if (const Json* samples = cell.Find("samples"); samples != nullptr) {
-    if (!samples->is_object()) return false;
-    for (const auto& [name, arr] : samples->AsObject()) {
-      if (!arr.is_array()) return false;
-      std::vector<double>& values = result.samples[name];
-      values.reserve(arr.size());
-      for (const Json& v : arr.AsArray()) {
-        if (!v.is_number()) return false;
-        values.push_back(v.AsDouble());
-      }
-    }
-  }
-  if (const Json* series = cell.Find("series"); series != nullptr) {
-    if (!series->is_object()) return false;
-    for (const auto& [name, arr] : series->AsObject()) {
-      if (!arr.is_array()) return false;
-      auto& points = result.series[name];
-      points.reserve(arr.size());
-      for (const Json& p : arr.AsArray()) {
-        if (!p.is_array() || p.size() != 2) return false;
-        const Json::Array& pair = p.AsArray();
-        if (!pair[0].is_number() || !pair[1].is_number()) return false;
-        points.emplace_back(pair[0].AsDouble(), pair[1].AsDouble());
-      }
-    }
-  }
-  if (const Json* registry = cell.Find("registry"); registry != nullptr) {
-    if (!registry->is_object()) return false;
-    for (const auto& [name, value] : registry->AsObject()) {
-      if (!value.is_number()) return false;
-      result.registry[name] = value.AsDouble();
-    }
-  }
-  if (const Json* timeseries = cell.Find("timeseries");
-      timeseries != nullptr) {
-    if (!timeseries->is_object()) return false;
-    for (const auto& [name, entry] : timeseries->AsObject()) {
-      if (!entry.is_object()) return false;
-      const Json* kind = entry.Find("kind");
-      const Json* window = entry.Find("window_s");
-      const Json* points = entry.Find("points");
-      if (kind == nullptr || !kind->is_number() || window == nullptr ||
-          !window->is_number() || points == nullptr || !points->is_array())
-        return false;
-      CellResult::SeriesSnapshot& snap = result.timeseries[name];
-      snap.kind = static_cast<int>(kind->AsInt());
-      snap.window_s = window->AsDouble();
-      snap.points.reserve(points->size());
-      for (const Json& p : points->AsArray()) {
-        if (!p.is_array() || p.size() != 2) return false;
-        const Json::Array& pair = p.AsArray();
-        if (!pair[0].is_number() || !pair[1].is_number()) return false;
-        snap.points.emplace_back(pair[0].AsDouble(), pair[1].AsDouble());
-      }
-    }
-  }
-  if (const Json* incidents = cell.Find("incidents"); incidents != nullptr) {
-    if (!incidents->is_object()) return false;
-    for (const auto& [name, value] : incidents->AsObject()) {
-      if (!value.is_number()) return false;
-      result.incidents[name] = value.AsDouble();
-    }
-  }
-  out->result = std::move(result);
-  if (const Json* wall = cell.Find("wall_ms");
-      wall != nullptr && wall->is_number())
-    out->wall_ms = wall->AsDouble();
-  return true;
-}
-
-bool FindResumedCell(const Json& doc, const CellContext& ctx,
-                     CellOutcome* out) {
-  const Json* kind = doc.Find("kind");
-  if (kind == nullptr || !kind->is_string() ||
-      kind->AsString() != kResultsKind)
-    return false;
-  // Cells from an older schema may lack fields this version records (the
-  // registry snapshot, the v3 timeseries/incidents blocks -- all of which
-  // feed DigestOutcomes); re-run rather than resume across versions.
-  const Json* version = doc.Find("schema_version");
-  if (version == nullptr || !version->is_number() ||
-      version->AsInt() != kResultsSchemaVersion)
-    return false;
-  const Json* figure = doc.Find("figure");
-  if (figure == nullptr || !figure->is_string() ||
-      figure->AsString() != ctx.figure)
-    return false;
-  const Json* cells = doc.Find("cells");
-  if (cells == nullptr || !cells->is_array()) return false;
-  for (const Json& cell : cells->AsArray()) {
-    if (!cell.is_object()) continue;
-    const Json* row = cell.Find("row");
-    const Json* col = cell.Find("col");
-    const Json* rep = cell.Find("rep");
-    const Json* seed = cell.Find("seed");
-    if (row == nullptr || !row->is_string() ||
-        row->AsString() != ctx.row_label)
-      continue;
-    if (col == nullptr || !col->is_string() ||
-        col->AsString() != ctx.col_label)
-      continue;
-    if (rep == nullptr || !rep->is_number() || rep->AsInt() != ctx.rep)
-      continue;
-    // The seed gate: a stale cache (different base seed, renamed labels
-    // hashing differently) must be re-run, not reused.
-    if (seed == nullptr || !seed->is_number() || seed->AsUint() != ctx.seed)
-      continue;
-    return CellFromJson(cell, out);
-  }
-  return false;
-}
+}  // namespace
 
 ResultsSink::ResultsSink(const GridSpec& spec, const RunInfo& info,
                          GridRunSummary summary)
@@ -262,8 +146,6 @@ Json ResultsSink::ToJson() const {
   if (!spec_.headline_metric.empty())
     doc.Set("headline_metric", spec_.headline_metric);
   doc.Set("wall_ms_total", summary_.wall_ms);
-  doc.Set("executed", summary_.executed);
-  doc.Set("resumed", summary_.resumed);
 
   Json cells = Json::MakeArray();
   for (const CellOutcome& cell : summary_.cells)

@@ -2,20 +2,20 @@
 // mean/stddev/95%-CI aggregates, emitted as both the existing aligned text
 // tables (via util::Table helpers in bench_common.h) and a versioned JSON
 // document under results/, which doubles as the run manifest (seed, scale,
-// reps, git SHA, wall-clock per cell) and as the resume source for
-// interrupted sweeps.
+// reps, git SHA, wall-clock per cell). The program only writes it; the
+// validators and summarizers under scripts/ are its readers.
 //
-// JSON schema, version 3 (`"kind": "omcast-figure-results"`):
+// JSON schema, version 4 (`"kind": "omcast-figure-results"`):
 //   {
-//     "schema_version": 3, "kind": "omcast-figure-results",
+//     "schema_version": 4, "kind": "omcast-figure-results",
 //     "figure": "fig04_disruptions", "title": "...",
 //     "scale": "small", "git_sha": "...", "base_seed": 1,
 //     "reps": 3, "threads": 8, "warmup_s": 5400, "measure_s": 3600,
 //     "row_header": "size", "rows": [...], "cols": [...],
 //     "headline_metric": "disruptions",
-//     "wall_ms_total": ..., "executed": N, "resumed": M,
+//     "wall_ms_total": ...,
 //     "cells": [ {"row": "...", "col": "...", "rep": 0, "seed": ...,
-//                 "wall_ms": ..., "resumed": false, "metrics": {...},
+//                 "wall_ms": ..., "metrics": {...},
 //                 "samples": {...}, "series": {"name": [[t, v], ...]},
 //                 "registry": {"rost.switches": ..., ...},
 //                 "timeseries": {"chaos.unrooted_members":
@@ -40,13 +40,14 @@
 namespace omcast::runner {
 
 // v1 -> v2: cells gained an optional "registry" object (flattened
-// obs::Registry snapshot); resume additionally gates on schema_version.
+// obs::Registry snapshot).
 // v2 -> v3: cells gained optional "timeseries" (windowed recovery curves:
 // kind, window_s, dense [t, v] points) and "incidents" (per-disruption
-// lifecycle stats) objects; both feed DigestOutcomes, so resuming across
-// versions would silently change digests -- the version gate re-runs
-// instead.
-inline constexpr int kResultsSchemaVersion = 3;
+// lifecycle stats) objects.
+// v3 -> v4: the document's "executed" and "resumed" counts and each cell's
+// "resumed" flag went with the --resume mode, the one reader of results
+// files in the program.
+inline constexpr int kResultsSchemaVersion = 4;
 inline constexpr const char* kResultsKind = "omcast-figure-results";
 
 // Run-level manifest fields recorded alongside the grid results.
@@ -57,20 +58,6 @@ struct RunInfo {
   double warmup_s = 0.0;
   double measure_s = 0.0;
 };
-
-// Serializes one outcome to its "cells" array entry.
-Json CellToJson(const CellOutcome& cell);
-
-// Restores metrics, samples, series, registry, timeseries, incidents and
-// wall_ms from a "cells" entry. Returns false (leaving `out` untouched) on
-// a malformed entry.
-bool CellFromJson(const Json& cell, CellOutcome* out);
-
-// Looks up `ctx` in a previous results document: an entry matches when row,
-// col, rep AND the derived seed agree (a seed mismatch means the sweep
-// parameters changed, so the cached cell is stale). Used by RunGrid.
-bool FindResumedCell(const Json& doc, const CellContext& ctx,
-                     CellOutcome* out);
 
 // Aggregation over the outcomes of one grid run.
 class ResultsSink {

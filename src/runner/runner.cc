@@ -8,7 +8,6 @@
 #include <exception>
 #include <thread>
 
-#include "runner/results.h"
 #include "util/check.h"
 
 namespace omcast::runner {
@@ -55,28 +54,14 @@ GridRunSummary RunGrid(const GridSpec& spec, const RunnerOptions& options) {
     }
   }
 
-  // Resume pass: satisfy cells from the previous results document.
-  std::vector<std::size_t> todo;
-  todo.reserve(summary.cells.size());
-  for (std::size_t i = 0; i < summary.cells.size(); ++i) {
-    CellOutcome& cell = summary.cells[i];
-    if (options.resume != nullptr &&
-        FindResumedCell(*options.resume, cell.ctx, &cell)) {
-      cell.resumed = true;
-      ++summary.resumed;
-    } else {
-      todo.push_back(i);
-    }
-  }
-
   const double t0 = WallMs();
-  const std::size_t total = todo.size();
+  const std::size_t total = summary.cells.size();
   const std::size_t width =
       options.threads > 0 ? static_cast<std::size_t>(options.threads)
                           : std::max(1u, std::thread::hardware_concurrency());
   summary.threads = static_cast<int>(std::min(width, total));
 
-  // The cell cursor: each claim takes the next pending cell from the back.
+  // The cell cursor: each claim takes the next cell from the back.
   std::atomic<std::ptrdiff_t> cursor{static_cast<std::ptrdiff_t>(total)};
   std::atomic<std::size_t> completed{0};
   std::vector<std::exception_ptr> errors(total);
@@ -85,7 +70,7 @@ GridRunSummary RunGrid(const GridSpec& spec, const RunnerOptions& options) {
       const std::ptrdiff_t k = cursor.fetch_sub(1) - 1;
       if (k < 0) return;
       const auto claimed = static_cast<std::size_t>(k);
-      CellOutcome& cell = summary.cells[todo[claimed]];
+      CellOutcome& cell = summary.cells[claimed];
       const double cell_t0 = WallMs();
       try {
         cell.result = spec.run(cell.ctx);
@@ -108,13 +93,11 @@ GridRunSummary RunGrid(const GridSpec& spec, const RunnerOptions& options) {
   };
   {
     std::vector<std::jthread> helpers;
-    for (int t = 1; t < summary.threads; ++t) helpers.emplace_back(work);
-    work();
+    for (int t = 0; t < summary.threads; ++t) helpers.emplace_back(work);
   }  // joins the helpers
   for (const std::exception_ptr& error : errors)
     if (error) std::rethrow_exception(error);
 
-  summary.executed = static_cast<int>(todo.size());
   summary.wall_ms = WallMs() - t0;
   return summary;
 }

@@ -1,9 +1,9 @@
 // Unit tests for the experiment-orchestration engine (src/runner): the
 // hash-based per-cell seed derivation, RunGrid's cell cursor (every cell
-// runs exactly once whatever the thread count, a blocked cell does not
-// strand the rest, the lowest-index cell exception is rethrown after every
-// cell has run), serial-vs-parallel grid determinism on synthetic cells,
-// resumable-manifest skip logic, and CI aggregation math against
+// runs exactly once, and on a helper thread, whatever the thread count; a
+// blocked cell does not strand the rest; the lowest-index cell exception
+// is rethrown after every cell has run), serial-vs-parallel grid
+// determinism on synthetic cells, and CI aggregation math against
 // util::RunningStat.
 #include <gtest/gtest.h>
 
@@ -11,8 +11,10 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "rand/rng.h"
 #include "runner/results.h"
@@ -87,8 +89,6 @@ TEST(RunGrid, OutcomesAreInGridOrderWithDerivedSeeds) {
   const runner::GridRunSummary summary =
       runner::RunGrid(SyntheticSpec(2), options);
   ASSERT_EQ(summary.cells.size(), 3u * 2u * 2u);
-  EXPECT_EQ(summary.executed, 12);
-  EXPECT_EQ(summary.resumed, 0);
   std::size_t index = 0;
   for (const char* row : {"10", "20", "30"}) {
     for (const char* col : {"alpha", "beta"}) {
@@ -156,7 +156,30 @@ TEST(RunGrid, ZeroThreadsSelectsHardwareConcurrency) {
   const int hardware =
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   EXPECT_EQ(summary.threads, std::min(hardware, 18));
-  EXPECT_EQ(summary.executed, 18);
+}
+
+TEST(RunGrid, NoCellRunsOnTheCallingThread) {
+  // The caller only joins: even at one thread, a helper runs every cell,
+  // so no cell allocates from the calling thread's heap.
+  for (const int threads : {1, 4}) {
+    runner::GridSpec spec = SyntheticSpec(2);  // 12 cells
+    std::vector<std::thread::id> ran_on(spec.cell_count());
+    spec.run = [&ran_on](const runner::CellContext& ctx) {
+      ran_on[ctx.index] = std::this_thread::get_id();
+      return runner::CellResult{};
+    };
+    runner::RunnerOptions options;
+    options.threads = threads;
+    const runner::GridRunSummary summary = runner::RunGrid(spec, options);
+    EXPECT_EQ(summary.threads, threads);
+    for (std::size_t i = 0; i < ran_on.size(); ++i)
+      EXPECT_NE(ran_on[i], std::this_thread::get_id())
+          << "cell " << i << " ran on the calling thread at threads="
+          << threads;
+    const std::set<std::thread::id> helpers(ran_on.begin(), ran_on.end());
+    EXPECT_LE(helpers.size(), static_cast<std::size_t>(threads));
+    EXPECT_EQ(helpers.count(std::thread::id{}), 0u) << "a cell never ran";
+  }
 }
 
 TEST(RunGrid, MoreThreadsThanCellsRunsEachCellOnce) {
@@ -203,7 +226,7 @@ TEST(RunGrid, ABlockedCellDoesNotStrandTheRest) {
 }
 
 // ---------------------------------------------------------------------------
-// Resume
+// ResultsSink aggregation
 // ---------------------------------------------------------------------------
 
 runner::RunInfo TestRunInfo() {
@@ -213,81 +236,6 @@ runner::RunInfo TestRunInfo() {
   info.base_seed = 1;
   return info;
 }
-
-TEST(Resume, MatchingCellsAreSkippedAndResultsBitIdentical) {
-  const runner::GridSpec spec = SyntheticSpec();
-  runner::RunnerOptions options;
-  options.threads = 2;
-  const auto first = runner::RunGrid(spec, options);
-  const runner::ResultsSink sink(spec, TestRunInfo(), first);
-  const runner::Json doc = sink.ToJson();
-
-  runner::RunnerOptions resumed = options;
-  resumed.resume = &doc;
-  const auto second = runner::RunGrid(spec, resumed);
-  EXPECT_EQ(second.executed, 0);
-  EXPECT_EQ(second.resumed, static_cast<int>(spec.cell_count()));
-  EXPECT_EQ(runner::DigestOutcomes(first.cells),
-            runner::DigestOutcomes(second.cells));
-}
-
-TEST(Resume, SurvivesAJsonRoundTrip) {
-  const runner::GridSpec spec = SyntheticSpec();
-  runner::RunnerOptions options;
-  options.threads = 2;
-  const auto first = runner::RunGrid(spec, options);
-  const runner::ResultsSink sink(spec, TestRunInfo(), first);
-  std::string error;
-  const runner::Json doc =
-      runner::Json::Parse(sink.ToJson().Dump(/*indent=*/1), &error);
-  ASSERT_TRUE(doc.is_object()) << error;
-
-  runner::RunnerOptions resumed = options;
-  resumed.resume = &doc;
-  const auto second = runner::RunGrid(spec, resumed);
-  EXPECT_EQ(second.executed, 0);
-  EXPECT_EQ(runner::DigestOutcomes(first.cells),
-            runner::DigestOutcomes(second.cells));
-}
-
-TEST(Resume, SeedMismatchForcesRerun) {
-  const runner::GridSpec spec = SyntheticSpec();
-  runner::RunnerOptions options;
-  options.threads = 2;
-  options.base_seed = 1;
-  const auto first = runner::RunGrid(spec, options);
-  const runner::ResultsSink sink(spec, TestRunInfo(), first);
-  const runner::Json doc = sink.ToJson();
-
-  // A different base seed derives different cell seeds: the stale cache
-  // must not satisfy any cell.
-  runner::RunnerOptions other = options;
-  other.base_seed = 2;
-  other.resume = &doc;
-  const auto second = runner::RunGrid(spec, other);
-  EXPECT_EQ(second.resumed, 0);
-  EXPECT_EQ(second.executed, static_cast<int>(spec.cell_count()));
-}
-
-TEST(Resume, WrongFigureIsIgnored) {
-  const runner::GridSpec spec = SyntheticSpec();
-  runner::RunnerOptions options;
-  options.threads = 1;
-  const auto first = runner::RunGrid(spec, options);
-  const runner::ResultsSink sink(spec, TestRunInfo(), first);
-  const runner::Json doc = sink.ToJson();
-
-  runner::GridSpec renamed = spec;
-  renamed.figure = "other_figure";
-  runner::RunnerOptions resumed = options;
-  resumed.resume = &doc;
-  const auto second = runner::RunGrid(renamed, resumed);
-  EXPECT_EQ(second.resumed, 0);
-}
-
-// ---------------------------------------------------------------------------
-// ResultsSink aggregation
-// ---------------------------------------------------------------------------
 
 TEST(ResultsSink, AggregationMatchesRunningStatOnKnownInputs) {
   runner::GridSpec spec = SyntheticSpec(4);

@@ -1,8 +1,8 @@
 // Tests for the minimal JSON reader/writer behind the results files. The
-// property that matters most to the runner is lossless round-tripping:
-// resumable sweeps re-read their own output, and the resume digest only
-// holds if 64-bit seeds and shortest-round-trip doubles survive
-// Dump() -> Parse() exactly.
+// property that matters most is lossless round-tripping: a results file
+// records the run exactly only if 64-bit seeds and shortest-round-trip
+// doubles survive Dump() -> Parse() exactly, which is what Parse() lets
+// these tests check.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -177,9 +177,10 @@ BENCHMARK(BM_DelayOracle);
 // --- tree ops on prepopulated paper-scale overlays --------------------------
 //
 // Members from state.range(0) (2k / 10k) on the paper's GT-ITM topology. A
-// relaxed BO/TO fresh join scans the whole rooted tree along its preorder
-// thread, then places (possibly evicting); ForEachDescendant from the root
-// is that walk alone.
+// relaxed BO/TO fresh join merges one cached summary per branch of the
+// root, re-walking only the branches that changed since the last placement,
+// then places (possibly evicting); ForEachDescendant from the root is the
+// walk of the whole rooted tree that the joins no longer make.
 
 const net::Topology& PaperTopology() {
   static const net::Topology* topology = [] {

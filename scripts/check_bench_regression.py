@@ -18,8 +18,9 @@ Three classes of check, strictest first:
     block (each series with >= 1 point) and a non-empty "incidents" block --
     the flight recorder must not silently fall off the benches.
 
-The grids must agree on figure, rows, cols, and reps; a renamed or dropped
-row is a failure, not a skip.
+The two files must agree on schema_version, figure, rows, cols, and reps;
+a renamed or dropped row is a failure, not a skip, and so is a committed
+file left at an older schema when the runner's schema moved on.
 
 Usage:
   check_bench_regression.py CURRENT.json COMMITTED.json \
@@ -45,10 +46,10 @@ def aggregate_means(doc, metric):
 
 
 def check_axes(current, committed, errors):
-    for field in ("figure", "rows", "cols", "reps"):
+    for field in ("schema_version", "figure", "rows", "cols", "reps"):
         if current.get(field) != committed.get(field):
             errors.append(
-                f"grid axis mismatch: {field} is {current.get(field)!r}, "
+                f"{field} mismatch: {current.get(field)!r}, "
                 f"committed {committed.get(field)!r}"
             )
 

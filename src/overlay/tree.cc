@@ -42,6 +42,7 @@ Tree::Tree(net::HostId root_host, double root_bandwidth) {
   layer_.push_back(0);
   capacity_.push_back(CapacityFor(root_bandwidth));
   alive_.push_back(1);
+  branch_stamp_.push_back(0);
 }
 
 NodeId Tree::CreateMember(net::HostId host, double bandwidth,
@@ -66,6 +67,7 @@ NodeId Tree::CreateMember(net::HostId host, double bandwidth,
   layer_.push_back(0);
   capacity_.push_back(CapacityFor(bandwidth));
   alive_.push_back(1);
+  branch_stamp_.push_back(0);
   return members_.back().id;
 }
 
@@ -119,7 +121,8 @@ void Tree::Attach(NodeId parent, NodeId child) {
   util::Check(Parent(child) == kNoNode, "child already attached");
   util::Check(SpareCapacity(parent) > 0, "attach would exceed out-degree");
   util::Check(!IsInSubtreeOf(parent, child), "attach would create a cycle");
-  util::Check(IsRooted(parent), "parent must be connected to the root");
+  const NodeId top = BranchOf(parent);
+  util::Check(top != kNoNode, "parent must be connected to the root");
   AppendChild(parent, child);
   parent_[static_cast<std::size_t>(child)] = parent;
   // The newest child is the first of its parent's children on the thread:
@@ -128,12 +131,15 @@ void Tree::Attach(NodeId parent, NodeId child) {
   preorder_next_[last] = preorder_next_[static_cast<std::size_t>(parent)];
   preorder_next_[static_cast<std::size_t>(parent)] = child;
   RecomputeLayers(child);
+  branch_stamp_[static_cast<std::size_t>(top == kRootId ? child : top)] =
+      ++last_stamp_;
   if (edge_observer_ != nullptr) edge_observer_->OnEdgeAdded(parent, child);
 }
 
 void Tree::Detach(NodeId child) {
   const NodeId parent = Parent(child);
   util::Check(parent != kNoNode, "detach requires an attached member");
+  StampBranchOf(child);
   // The block of `child` follows the block of the sibling attached after it,
   // or the parent itself when `child` is the newest; cut it out and close it
   // into a thread of its own.
@@ -175,6 +181,16 @@ bool Tree::IsRooted(NodeId id) const {
     const NodeId p = Parent(cur);
     if (p == kNoNode) return false;
     cur = p;
+  }
+}
+
+NodeId Tree::BranchOf(NodeId id) const {
+  if (id == kRootId) return kRootId;
+  while (true) {
+    const NodeId p = Parent(id);
+    if (p == kRootId) return id;
+    if (p == kNoNode) return kNoNode;
+    id = p;
   }
 }
 

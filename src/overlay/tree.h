@@ -22,6 +22,12 @@
 // thus one contiguous block of its fragment's thread that ends at the leaf of
 // its first-child chain, so subtree walks need no stack, and Attach, Detach
 // and RemoveFromTree splice the thread in O(subtree height).
+//
+// A branch is a child of the root together with its subtree, so the rooted
+// thread is the root followed by its branches in reverse attach order. Each
+// branch carries a stamp that changes whenever the branch does, which lets
+// a caller cache a per-branch summary and rebuild only the branches that
+// changed (proto/relaxed_ordered.h does).
 #pragma once
 
 #include <cstdint>
@@ -102,11 +108,32 @@ class Tree {
     CheckId(id);
     return next_sibling_[static_cast<std::size_t>(id)];
   }
+  // The newest child and the next older sibling: walking LastChild(p) and
+  // then PrevSibling visits p's children in thread order.
+  NodeId LastChild(NodeId id) const {
+    CheckId(id);
+    return last_child_[static_cast<std::size_t>(id)];
+  }
+  NodeId PrevSibling(NodeId id) const {
+    CheckId(id);
+    return prev_sibling_[static_cast<std::size_t>(id)];
+  }
   // Successor of `id` on its fragment's preorder thread; kNoNode after the
   // fragment's last member. Walking it from kRootId visits the rooted tree.
   NodeId PreorderNext(NodeId id) const {
     CheckId(id);
     return preorder_next_[static_cast<std::size_t>(id)];
+  }
+  // Stamp of the branch that child `id` of the root heads: a value no
+  // earlier state of the branch carried. Attach, Detach (and so
+  // RemoveFromTree) and SetCapacity give the branch that holds the change a
+  // fresh value of one tree-wide counter, so a member that leaves the root
+  // and comes back never matches its old stamp. Changes inside a detached
+  // fragment stamp nothing, and the root's own spare capacity is no
+  // branch's: read it live. Meaningless unless Parent(id) == kRootId.
+  std::uint64_t BranchStamp(NodeId id) const {
+    CheckId(id);
+    return branch_stamp_[static_cast<std::size_t>(id)];
   }
 
   // Lightweight forward range over `id`'s children in attach order; a
@@ -180,6 +207,7 @@ class Tree {
   void SetCapacity(NodeId id, int capacity) {
     CheckId(id);
     capacity_[static_cast<std::size_t>(id)] = capacity;
+    StampBranchOf(id);
   }
 
   // Installs (or clears, with nullptr) the one edge observer; non-owning.
@@ -248,6 +276,16 @@ class Tree {
     return id;
   }
   void RecomputeLayers(NodeId fragment_root);
+  // The child of the root whose branch holds `id`: kRootId for the root
+  // itself, kNoNode when `id` is not rooted. O(depth).
+  NodeId BranchOf(NodeId id) const;
+  // Gives the branch holding `id` a fresh stamp; no-op for the root and for
+  // members outside the rooted tree.
+  void StampBranchOf(NodeId id) {
+    const NodeId top = BranchOf(id);
+    if (top != kNoNode && top != kRootId)
+      branch_stamp_[static_cast<std::size_t>(top)] = ++last_stamp_;
+  }
   std::vector<NodeId> PathToRoot(NodeId id) const;  // id first, root last
 
   std::vector<Member> members_;
@@ -262,6 +300,8 @@ class Tree {
   std::vector<std::int32_t> layer_;
   std::vector<std::int32_t> capacity_;
   std::vector<std::uint8_t> alive_;
+  std::vector<std::uint64_t> branch_stamp_;  // read at the root's children
+  std::uint64_t last_stamp_ = 0;
   EdgeObserver* edge_observer_ = nullptr;  // not owned
 };
 

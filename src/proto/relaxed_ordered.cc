@@ -47,57 +47,175 @@ void RelaxedOrderedProtocol::SortStrongestFirst(
   });
 }
 
+void RelaxedOrderedProtocol::Candidates::Offer(NodeId v, double key) {
+  if (!(key < threshold)) return;
+  // Bounded insertion sort keeping the weakest candidates first; when the
+  // list is full its strongest entry drops out.
+  int j = count;
+  if (j < kCandidatesPerLayer) {
+    ++count;
+  } else {
+    --j;
+  }
+  while (j > 0 && keys[j - 1] > key) {
+    ids[j] = ids[j - 1];
+    keys[j] = keys[j - 1];
+    --j;
+  }
+  ids[j] = v;
+  keys[j] = key;
+  if (count == kCandidatesPerLayer) threshold = keys[kCandidatesPerLayer - 1];
+}
+
+void RelaxedOrderedProtocol::AddMember(const overlay::Tree& tree,
+                                       BranchSummary& branch,
+                                       std::vector<SpareMember>& spare,
+                                       NodeId v) const {
+  const int layer = tree.Layer(v);
+  if (static_cast<std::size_t>(layer) >= branch.weakest.size())
+    branch.weakest.resize(static_cast<std::size_t>(layer) + 1);
+  branch.max_layer = std::max(branch.max_layer, layer);
+  const int slots = tree.SpareCapacity(v);
+  if (slots > 0) {
+    branch.spare_total += slots;
+    spare.push_back({v, layer});
+  }
+  const double key = RankKey(tree.Get(v));
+  branch.min_key = std::min(branch.min_key, key);
+  branch.weakest[static_cast<std::size_t>(layer)].Offer(v, key);
+}
+
+void RelaxedOrderedProtocol::Summarize(const overlay::Tree& tree, NodeId top,
+                                       BranchSummary& out) const {
+  out.top = top;
+  out.stamp = tree.BranchStamp(top);
+  out.spare_total = 0;
+  out.max_layer = 0;
+  out.min_key = std::numeric_limits<double>::infinity();
+  out.spare.clear();
+  out.weakest.clear();  // keeps its capacity
+  const auto visit = [&](NodeId v) { AddMember(tree, out, out.spare, v); };
+  visit(top);
+  tree.ForEachDescendant(top, visit);
+}
+
+int RelaxedOrderedProtocol::Summary(const overlay::Tree& tree, NodeId top) {
+  if (slot_of_.size() < tree.size()) slot_of_.resize(tree.size(), -1);
+  int& slot = slot_of_[static_cast<std::size_t>(top)];
+  if (slot < 0 || branches_[static_cast<std::size_t>(slot)].top != top) {
+    // Take the slot of a member that is no longer a child of the root.
+    slot = 0;
+    while (static_cast<std::size_t>(slot) < branches_.size()) {
+      const NodeId owner = branches_[static_cast<std::size_t>(slot)].top;
+      if (owner == kNoNode || tree.Parent(owner) != overlay::kRootId) break;
+      ++slot;
+    }
+    if (static_cast<std::size_t>(slot) == branches_.size())
+      branches_.emplace_back();
+    branches_[static_cast<std::size_t>(slot)].top = kNoNode;
+  }
+  BranchSummary& branch = branches_[static_cast<std::size_t>(slot)];
+  if (branch.top != top || branch.stamp != tree.BranchStamp(top))
+    Summarize(tree, top, branch);
+  return slot;
+}
+
+void RelaxedOrderedProtocol::FoldAttached(const overlay::Tree& tree,
+                                          BranchSummary& branch, NodeId parent,
+                                          NodeId fragment) {
+  // `parent` had spare capacity, so it is on the spare list, and the
+  // fragment's block follows it on the thread.
+  auto at = std::find_if(
+      branch.spare.begin(), branch.spare.end(),
+      [parent](const SpareMember& m) { return m.id == parent; });
+  util::Check(at != branch.spare.end(), "attach parent not on the spare list");
+  at = tree.SpareCapacity(parent) > 0 ? at + 1 : branch.spare.erase(at);
+  --branch.spare_total;
+  folded_.clear();
+  // A key equal to one already on a layer's list may belong before or
+  // after the fragment on the thread, so a tie leaves the branch to a walk.
+  bool tied = false;
+  const auto visit = [&](NodeId v) {
+    const auto layer = static_cast<std::size_t>(tree.Layer(v));
+    if (layer < branch.weakest.size()) {
+      const Candidates& w = branch.weakest[layer];
+      tied = tied || std::find(w.keys, w.keys + w.count,
+                               RankKey(tree.Get(v))) != w.keys + w.count;
+    }
+    AddMember(tree, branch, folded_, v);
+  };
+  visit(fragment);
+  tree.ForEachDescendant(fragment, visit);
+  branch.spare.insert(at, folded_.begin(), folded_.end());
+  branch.stamp = tied ? 0 : tree.BranchStamp(branch.top);
+}
+
+void RelaxedOrderedProtocol::AuditSummary(const overlay::Tree& tree,
+                                          const BranchSummary& cached) const {
+  BranchSummary fresh;
+  Summarize(tree, cached.top, fresh);
+  util::Check(cached == fresh,
+              "cached branch summary is stale: a rooted change kept its "
+              "branch stamp, or a rooted member's rank key changed");
+}
+
 NodeId RelaxedOrderedProtocol::PlaceOne(Session& session, NodeId id) {
   overlay::Tree& tree = session.tree();
 
-  // One pass over the rooted tree collecting, per layer, the weakest few
-  // outranked incumbents, a reservoir of spare-capacity slots, and the
-  // global spare total. The pass follows the tree's preorder thread, which
-  // lists the members in the order the reservoir's RNG draws depend on.
+  // Collect, per layer, the weakest few outranked incumbents, a reservoir
+  // of spare-capacity slots, and the global spare total: from the root,
+  // then from each branch's summary in thread order. The reservoir sees the
+  // spare-capacity members in thread order, the order its RNG draws depend
+  // on; a branch's weakest list is sorted, so its merge stops at the first
+  // key the layer's list would refuse.
   long spare_total = 0;
   int max_layer = 0;
   LayerSummary fresh;
-  fresh.threshold = RankKey(tree.Get(id));
+  fresh.weakest.threshold = RankKey(tree.Get(id));
   std::fill(layer_summaries_.begin(), layer_summaries_.end(), fresh);
-  for (NodeId v = overlay::kRootId; v != kNoNode; v = tree.PreorderNext(v)) {
-    const int layer = tree.Layer(v);
-    if (static_cast<std::size_t>(layer) >= layer_summaries_.size())
-      layer_summaries_.resize(static_cast<std::size_t>(layer) + 1, fresh);
-    LayerSummary& summary = layer_summaries_[static_cast<std::size_t>(layer)];
-    max_layer = std::max(max_layer, layer);
-    const int spare = tree.SpareCapacity(v);
-    if (spare > 0) {
-      spare_total += spare;
-      // Reservoir sample of spare slots (the delay tie-break is applied to
-      // this sample rather than every slot in the layer).
-      ++summary.spare_seen;
-      if (summary.spare_count < kCandidatesPerLayer) {
-        summary.spare[summary.spare_count++] = v;
-      } else {
-        const auto j = static_cast<long>(
-            session.rng().UniformIndex(static_cast<std::size_t>(summary.spare_seen)));
-        if (j < kCandidatesPerLayer) summary.spare[j] = v;
+  if (layer_summaries_.empty()) layer_summaries_.push_back(fresh);
+  const auto sample_spare = [&](LayerSummary& summary, NodeId v, int slot) {
+    // Reservoir sample of spare slots (the delay tie-break is applied to
+    // this sample rather than every slot in the layer).
+    ++summary.spare_seen;
+    if (summary.spare_count < kCandidatesPerLayer) {
+      summary.spare_slot[summary.spare_count] = slot;
+      summary.spare[summary.spare_count++] = v;
+    } else {
+      const auto j = static_cast<long>(session.rng().UniformIndex(
+          static_cast<std::size_t>(summary.spare_seen)));
+      if (j < kCandidatesPerLayer) {
+        summary.spare[j] = v;
+        summary.spare_slot[j] = slot;
       }
     }
-    const double key = RankKey(tree.Get(v));
-    if (key < summary.threshold && v != overlay::kRootId) {
-      // Bounded insertion sort keeping the weakest candidates first; when
-      // the list is full its strongest entry drops out.
-      int j = summary.weakest_count;
-      if (j < kCandidatesPerLayer) {
-        ++summary.weakest_count;
-      } else {
-        --j;
-      }
-      while (j > 0 && summary.weakest_key[j - 1] > key) {
-        summary.weakest[j] = summary.weakest[j - 1];
-        summary.weakest_key[j] = summary.weakest_key[j - 1];
-        --j;
-      }
-      summary.weakest[j] = v;
-      summary.weakest_key[j] = key;
-      if (summary.weakest_count == kCandidatesPerLayer)
-        summary.threshold = summary.weakest_key[kCandidatesPerLayer - 1];
+  };
+  const int root_spare = tree.SpareCapacity(overlay::kRootId);
+  if (root_spare > 0) {
+    spare_total += root_spare;
+    sample_spare(layer_summaries_[0], overlay::kRootId, -1);
+  }
+  for (NodeId top = tree.LastChild(overlay::kRootId); top != kNoNode;
+       top = tree.PrevSibling(top)) {
+    const int slot = Summary(tree, top);
+    const BranchSummary& branch = branches_[static_cast<std::size_t>(slot)];
+    if constexpr (util::kDcheckEnabled) AuditSummary(tree, branch);
+    if (static_cast<std::size_t>(branch.max_layer) >= layer_summaries_.size())
+      layer_summaries_.resize(static_cast<std::size_t>(branch.max_layer) + 1,
+                              fresh);
+    max_layer = std::max(max_layer, branch.max_layer);
+    spare_total += branch.spare_total;
+    for (const SpareMember& m : branch.spare)
+      sample_spare(layer_summaries_[static_cast<std::size_t>(m.layer)], m.id,
+                   slot);
+    // A layer's list takes only keys below the joiner's.
+    if (!(branch.min_key < fresh.weakest.threshold)) continue;
+    for (int layer = 1; layer <= branch.max_layer; ++layer) {
+      const Candidates& from = branch.weakest[static_cast<std::size_t>(layer)];
+      Candidates& into =
+          layer_summaries_[static_cast<std::size_t>(layer)].weakest;
+      for (int i = 0; i < from.count && from.keys[i] < into.threshold; ++i)
+        into.Offer(from.ids[i], from.keys[i]);
     }
   }
 
@@ -136,6 +254,7 @@ NodeId RelaxedOrderedProtocol::PlaceOne(Session& session, NodeId id) {
   for (int r = 1; r <= max_layer + 1; ++r) {
     const LayerSummary& above = layer_summaries_[static_cast<std::size_t>(r - 1)];
     NodeId best = kNoNode;
+    int best_slot = -1;
     double best_delay = 0.0;
     for (int i = 0; i < above.spare_count; ++i) {
       const NodeId u = above.spare[i];
@@ -143,21 +262,28 @@ NodeId RelaxedOrderedProtocol::PlaceOne(Session& session, NodeId id) {
       const double d = session.DelayMs(u, id);
       if (best == kNoNode || d < best_delay) {
         best = u;
+        best_slot = above.spare_slot[i];
         best_delay = d;
       }
     }
     if (best != kNoNode) {
       tree.Attach(best, id);
+      // Under the root, `id` heads a branch of its own, which the next
+      // placement summarizes.
+      if (best_slot >= 0)
+        FoldAttached(tree, branches_[static_cast<std::size_t>(best_slot)],
+                     best, id);
       return kNoNode;
     }
     if (r <= max_layer) {
       // Candidates weakest-first; take the weakest whose eviction keeps
       // placement headroom.
-      const LayerSummary& summary = layer_summaries_[static_cast<std::size_t>(r)];
-      for (int i = 0; i < summary.weakest_count; ++i) {
-        if (!eviction_keeps_headroom(summary.weakest[i])) continue;
-        Replace(session, summary.weakest[i], id);
-        return summary.weakest[i];
+      const Candidates& weakest =
+          layer_summaries_[static_cast<std::size_t>(r)].weakest;
+      for (int i = 0; i < weakest.count; ++i) {
+        if (!eviction_keeps_headroom(weakest.ids[i])) continue;
+        Replace(session, weakest.ids[i], id);
+        return weakest.ids[i];
       }
     }
   }

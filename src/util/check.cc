@@ -5,10 +5,6 @@
 
 namespace omcast::util {
 
-void Check(bool cond, std::string_view what, std::source_location loc) {
-  if (!cond) Fail(what, loc);
-}
-
 void Fail(std::string_view what, std::source_location loc) {
   std::fprintf(stderr, "CHECK failed at %s:%u (%s): %.*s\n", loc.file_name(),
                static_cast<unsigned>(loc.line()), loc.function_name(),

@@ -22,14 +22,18 @@
 
 namespace omcast::util {
 
-// Aborts with a diagnostic if `cond` is false. `what` should state the
-// violated invariant, e.g. "child layer == parent layer + 1".
-void Check(bool cond, std::string_view what,
-           std::source_location loc = std::source_location::current());
-
 // Aborts unconditionally; for unreachable branches.
 [[noreturn]] void Fail(std::string_view what,
                        std::source_location loc = std::source_location::current());
+
+// Aborts with a diagnostic if `cond` is false. `what` should state the
+// violated invariant, e.g. "child layer == parent layer + 1". Inline, so
+// the passing case is one branch at the call site (Rng::UniformIndex checks
+// every draw); the diagnostic stays out of line in Fail.
+inline void Check(bool cond, std::string_view what,
+                  std::source_location loc = std::source_location::current()) {
+  if (!cond) [[unlikely]] Fail(what, loc);
+}
 
 #if defined(OMCAST_ENABLE_DCHECK)
 inline constexpr bool kDcheckEnabled = true;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "exp/scenario.h"
 #include "net/topology.h"
@@ -10,6 +13,7 @@
 #include "proto/relaxed_ordered.h"
 #include "proto/selection.h"
 #include "sim/simulator.h"
+#include "util/hash.h"
 
 namespace omcast {
 namespace {
@@ -277,6 +281,119 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       return name + "_s" + std::to_string(std::get<1>(param_info.param));
     });
+
+// Golden replay of the relaxed baselines. Placement is where they draw from
+// the session RNG (a reservoir sample of spare-capacity members per layer)
+// and pick eviction candidates (the weakest few per layer, ties broken by
+// thread order), so each overlay below is digested member by member --
+// parent, layer, reconnections and disruptions in id order -- together with
+// the session RNG's next output. A change that moves a draw, a candidate or
+// a tie-break moves a digest. The goldens were recorded from the scan of
+// the whole rooted tree that the per-branch summaries replaced.
+class RelaxedReplay : public ::testing::TestWithParam<exp::Algorithm> {
+ protected:
+  static const net::Topology& PaperTopology() {
+    static const net::Topology topology = [] {
+      rnd::Rng topo_rng(1);
+      return net::Topology::Generate(net::PaperTopologyParams(), topo_rng);
+    }();
+    return topology;
+  }
+
+  std::unique_ptr<Session> Make(sim::Simulator& sim, SessionParams params,
+                                std::uint64_t seed) const {
+    return std::make_unique<Session>(
+        sim, PaperTopology(), exp::MakeProtocol(GetParam(), core::RostParams{}),
+        params, seed);
+  }
+
+  static std::uint64_t Digest(Session& s) {
+    const Tree& tree = s.tree();
+    util::RollingHash h;
+    for (NodeId id = 0; id < static_cast<NodeId>(tree.size()); ++id) {
+      h.MixI64(tree.Parent(id));
+      h.MixI64(tree.Layer(id));
+      h.MixI64(tree.Get(id).reconnections);
+      h.MixI64(tree.Get(id).disruptions);
+    }
+    h.MixU64(s.rng().UniformIndex(std::numeric_limits<std::size_t>::max()));
+    return h.digest();
+  }
+
+  static long Reconnections(const Session& s) {
+    long total = 0;
+    for (NodeId id = 0; id < static_cast<NodeId>(s.tree().size()); ++id)
+      total += s.tree().Get(id).reconnections;
+    return total;
+  }
+
+  // The golden digest for the running order: {relaxed-BO, relaxed-TO}.
+  std::uint64_t Golden(std::uint64_t bo, std::uint64_t to) const {
+    return GetParam() == exp::Algorithm::kRelaxedBo ? bo : to;
+  }
+};
+
+TEST_P(RelaxedReplay, PlacementsMatchGoldenDigest) {
+  {
+    // The paper's setting: 2,000 prepopulated members, then 300 s of churn.
+    sim::Simulator sim;
+    auto s = Make(sim, SessionParams{}, 31);
+    s->Prepopulate(2000);
+    s->StartArrivals(exp::ArrivalRate(2000));
+    sim.RunUntil(300.0);
+    s->tree().CheckInvariants();
+    EXPECT_GT(Reconnections(*s), 0);
+    const std::uint64_t d = Digest(*s);
+    EXPECT_EQ(d, Golden(0x12edcb931d17127aULL, 0x1b61da3a4b1428a0ULL))
+        << "paper overlay 0x" << std::hex << d;
+  }
+  {
+    // A root that feeds two children: one or two branches hold the whole
+    // tree, and eviction chains run long.
+    sim::Simulator sim;
+    SessionParams params;
+    params.root_bandwidth = 2.0;
+    auto s = Make(sim, params, 32);
+    s->Prepopulate(1000);
+    s->StartArrivals(exp::ArrivalRate(1000));
+    sim.RunUntil(300.0);
+    s->tree().CheckInvariants();
+    EXPECT_LE(s->tree().ChildCount(kRootId), 2);
+    EXPECT_GT(Reconnections(*s), 50);
+    const std::uint64_t d = Digest(*s);
+    EXPECT_EQ(d, Golden(0x8205d36a97d62386ULL, 0x9f0bb7947ccd2ae1ULL))
+        << "narrow root 0x" << std::hex << d;
+  }
+  {
+    // Ties everywhere: four bandwidths, and members injected in batches
+    // that share a join time, so rank keys tie under both orders.
+    sim::Simulator sim;
+    auto s = Make(sim, SessionParams{}, 33);
+    rnd::Rng pick(34);
+    constexpr double kBandwidths[] = {0.5, 1.0, 2.0, 4.0};
+    for (int batch = 0; batch < 20; ++batch) {
+      sim.RunUntil(15.0 * batch);
+      for (int i = 0; i < 60; ++i)
+        s->InjectMember(kBandwidths[pick.UniformIndex(4)],
+                        1.0 + pick.ExponentialMean(250.0));
+    }
+    sim.RunUntil(400.0);
+    s->tree().CheckInvariants();
+    EXPECT_GT(Reconnections(*s), 0);
+    const std::uint64_t d = Digest(*s);
+    EXPECT_EQ(d, Golden(0x4d5d952b42dedf9fULL, 0x53ebfaa576685603ULL))
+        << "tied keys 0x" << std::hex << d;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, RelaxedReplay,
+                         ::testing::Values(exp::Algorithm::kRelaxedBo,
+                                           exp::Algorithm::kRelaxedTo),
+                         [](const auto& param_info) {
+                           return param_info.param == exp::Algorithm::kRelaxedBo
+                                      ? std::string("BO")
+                                      : std::string("TO");
+                         });
 
 }  // namespace
 }  // namespace omcast

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 namespace omcast::overlay {
 namespace {
 
@@ -264,6 +269,93 @@ TEST_F(TreeTest, RemoveFromTreeOfDetachedMemberClosesEachOrphanThread) {
   tree_.Attach(kRootId, d);  // an orphan fragment re-enters whole
   EXPECT_EQ(Thread(kRootId), (std::vector<NodeId>{kRootId, d, d1, d2}));
   tree_.CheckInvariants();
+}
+
+// Branch stamps key the relaxed protocols' per-branch summaries: a change to
+// the rooted tree gives the one branch (child of the root plus subtree) that
+// holds it a fresh stamp, and a change outside the rooted tree stamps
+// nothing.
+TEST(Tree, BranchStampChangesOnRootedMutationsOnly) {
+  Tree tree(0, 100.0);
+  int next_host = 1;
+  const auto add = [&](double bandwidth) {
+    return tree.CreateMember(static_cast<net::HostId>(next_host++), bandwidth,
+                             0.0, 1e9);
+  };
+  // root -> {a, b}; a -> a1 -> a2; b -> b1.
+  const NodeId a = add(3.0);
+  const NodeId a1 = add(2.0);
+  const NodeId a2 = add(2.0);
+  const NodeId b = add(2.0);
+  const NodeId b1 = add(2.0);
+  tree.Attach(kRootId, a);
+  tree.Attach(a, a1);
+  tree.Attach(a1, a2);
+  tree.Attach(kRootId, b);
+  tree.Attach(b, b1);
+
+  // The root's children in thread order, each with its stamp.
+  const auto branches = [&tree] {
+    std::vector<std::pair<NodeId, std::uint64_t>> out;
+    for (NodeId c = tree.LastChild(kRootId); c != kNoNode;
+         c = tree.PrevSibling(c))
+      out.emplace_back(c, tree.BranchStamp(c));
+    return out;
+  };
+  // Runs `mutate` and expects exactly `changed`'s stamp to move (kNoNode:
+  // none), over the branches present both before and after.
+  const auto expect_restamped = [&](NodeId changed, auto mutate) {
+    const auto before = branches();
+    mutate();
+    for (const auto& [top, stamp] : before) {
+      if (tree.Parent(top) != kRootId) continue;
+      if (top == changed) {
+        EXPECT_NE(tree.BranchStamp(top), stamp) << "branch " << top;
+      } else {
+        EXPECT_EQ(tree.BranchStamp(top), stamp) << "branch " << top;
+      }
+    }
+  };
+
+  const auto walked = branches();
+  ASSERT_EQ(walked.size(), 2u);
+  EXPECT_EQ(walked[0].first, b);  // newest child first, as on the thread
+  EXPECT_EQ(walked[1].first, a);
+  EXPECT_EQ(tree.PreorderNext(kRootId), b);
+  EXPECT_NE(walked[0].second, walked[1].second);
+
+  // Rooted mutations: each re-stamps its own branch and no other.
+  const NodeId x = add(1.0);
+  expect_restamped(a, [&] { tree.Attach(a2, x); });
+  expect_restamped(b, [&] { tree.Detach(b1); });
+  expect_restamped(a, [&] { tree.RemoveFromTree(a1); });  // orphans a2
+  tree.MarkDead(a1);
+  expect_restamped(b, [&] { tree.SetCapacity(b, 4); });
+  expect_restamped(kNoNode, [&] { tree.SetCapacity(kRootId, 50); });
+
+  // Inside the detached fragment {a2, x} nothing is stamped.
+  expect_restamped(kNoNode, [&] { tree.SetCapacity(a2, 3); });
+  expect_restamped(kNoNode, [&] { tree.Detach(x); });
+  expect_restamped(kNoNode, [&] { tree.RemoveFromTree(a2); });
+  tree.MarkDead(a2);
+
+  // A loose member re-entering inside a branch re-stamps that branch only.
+  expect_restamped(a, [&] { tree.Attach(a, b1); });
+
+  // A member that leaves the root and comes back, directly or after a spell
+  // deeper in the tree, never matches any stamp it had before.
+  std::vector<std::uint64_t> seen = {tree.BranchStamp(b)};
+  expect_restamped(b, [&] { tree.Detach(b); });
+  tree.Attach(kRootId, b);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), tree.BranchStamp(b)), 0);
+  seen.push_back(tree.BranchStamp(b));
+  tree.Detach(b);
+  tree.Attach(b1, b);
+  tree.Detach(b);
+  tree.Attach(kRootId, b);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), tree.BranchStamp(b)), 0);
+  EXPECT_NE(tree.BranchStamp(b), tree.BranchStamp(a));
+  tree.CheckInvariants();
 }
 
 TEST_F(TreeTest, SharedPathEdgesMatchesLcaDepth) {

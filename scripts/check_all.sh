@@ -19,7 +19,7 @@
 # Static checks:
 #   scripts/omcast-lint                  repo-specific determinism/concurrency/
 #                                        protocol lint (+ fixture selftests,
-#                                        SARIF selftest, src/ clean)
+#                                        src/ clean)
 #   clang-tidy / clang-format            only when installed (check-only)
 set -euo pipefail
 
@@ -67,7 +67,6 @@ fi
 
 echo "==== [lint] omcast-lint (selftests + src/) ===="
 if python3 scripts/omcast-lint --selftest scripts/omcast_lint/fixtures \
-    && python3 scripts/omcast-lint --sarif-selftest \
     && python3 scripts/omcast-lint src/; then
   echo "==== [lint] OK ===="
 else

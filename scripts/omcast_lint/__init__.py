@@ -15,17 +15,10 @@ about, with:
   * an `omcast-lint: allow(<rule>)` escape hatch with stale-suppression
     detection (an allow() that no longer suppresses anything is itself a
     finding);
-  * human and SARIF 2.1.0 output (`omcast_lint.sarif`);
+  * `path:line: [rule] message` output;
   * per-rule fixtures under `omcast_lint/fixtures/` exercised by
     `--selftest`, run in CI and by ctest.
 
 Entry point: `python3 scripts/omcast-lint` (or `python3 -m omcast_lint`
 from scripts/).
 """
-
-from __future__ import annotations
-
-__version__ = "1.0.0"
-
-TOOL_NAME = "omcast-lint"
-TOOL_URI = "https://github.com/omcast/omcast"  # repo-internal tool

@@ -30,15 +30,15 @@ class Finding:
 @dataclass(frozen=True)
 class Rule:
     name: str
-    summary: str  # one line; --list-rules and the SARIF rules table
+    summary: str  # one line; --list-rules prints it
     check: Callable[[SourceFile], list[tuple[int, str]]]
 
 
 RULES: dict[str, Rule] = {}
 
 # Engine-level pseudo-rule: an allow() annotation that suppresses nothing
-# (or names a rule that does not exist). Registered so SARIF/--list-rules
-# describe it, but it has no check function -- the engine computes it from
+# (or names a rule that does not exist). Registered so --list-rules
+# describes it, but it has no check function -- the engine computes it from
 # the suppression bookkeeping.
 STALE_ALLOW = "stale-allow"
 

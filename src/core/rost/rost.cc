@@ -11,7 +11,6 @@ namespace omcast::core {
 
 using overlay::kNoNode;
 using overlay::kRootId;
-using overlay::Member;
 using overlay::NodeId;
 using overlay::Session;
 
@@ -47,43 +46,9 @@ bool RostProtocol::TryAttach(Session& session, NodeId id) {
     session.tree().Attach(parent, id);
     return true;
   }
-  return TryPreemptJoin(session, candidates, id);
-}
-
-bool RostProtocol::TryPreemptJoin(Session& session,
-                                  const std::vector<NodeId>& candidates,
-                                  NodeId id) {
-  overlay::Tree& tree = session.tree();
-  const Member& joiner = tree.Get(id);
-  // The joiner must be able to host the displaced leaf on top of any
-  // fragment children it brings along; otherwise the splice would detach
-  // someone, and a free-rider displacing a free-rider would just ping-pong.
-  if (tree.SpareCapacity(id) < 1) return false;
-  NodeId weakest = kNoNode;
-  for (NodeId c : candidates) {
-    if (c == kRootId) continue;
-    const Member& m = tree.Get(c);
-    if (tree.ChildCount(c) != 0) continue;  // only leaves: nobody else moves
-    if (m.reported_bandwidth >= joiner.reported_bandwidth) continue;
-    if (weakest == kNoNode ||
-        m.reported_bandwidth < tree.Get(weakest).reported_bandwidth ||
-        (m.reported_bandwidth == tree.Get(weakest).reported_bandwidth &&
-         c < weakest))
-      weakest = c;
-  }
-  if (weakest == kNoNode) return false;
-  // Splice: the joiner takes the leaf's slot, the leaf becomes its child.
-  // Rooted fan-out grows by the joiner's spare capacity minus the slot the
-  // leaf re-occupies, so repeated preemptions drain the orphan backlog a
-  // correlated kill leaves behind instead of deadlocking on a full tree.
-  const NodeId slot_parent = tree.Parent(weakest);
-  tree.Detach(weakest);
-  tree.Attach(slot_parent, id);
-  tree.Attach(id, weakest);
-  ++tree.Get(weakest).reconnections;
+  if (proto::PreemptJoin(session.tree(), candidates, id) == kNoNode)
+    return false;
   ++preempt_joins_;
-  OMCAST_DCHECK(tree.IsRooted(id) && tree.IsRooted(weakest),
-                "preempt join must leave both members rooted");
   return true;
 }
 

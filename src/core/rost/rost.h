@@ -99,7 +99,7 @@ class RostProtocol final : public overlay::Protocol {
   std::string name() const override { return "rost"; }
   // Min-depth join; when the rooted tree has no open slot, a joiner with
   // spare capacity displaces the weakest rooted leaf and adopts it (see
-  // TryPreemptJoin), so a correlated failure that strands the overlay's
+  // proto::PreemptJoin), so a correlated failure that strands the overlay's
   // fan-out capacity inside detached fragments cannot deadlock rejoins.
   bool TryAttach(overlay::Session& session, overlay::NodeId id) override;
   void OnAttached(overlay::Session& session, overlay::NodeId id) override;
@@ -188,15 +188,6 @@ class RostProtocol final : public overlay::Protocol {
   };
 
   NodeState& StateFor(overlay::NodeId id);
-  // Saturation fallback for TryAttach: no rooted member has a spare slot
-  // (all spare capacity is stranded in detached fragments -- the capacity
-  // deadlock a correlated kill of a high-fanout node creates). A joiner
-  // with at least one spare slot of its own takes the tree position of the
-  // weakest strictly-poorer rooted leaf among `candidates` and immediately
-  // adopts it, so nobody detaches and rooted capacity strictly grows.
-  bool TryPreemptJoin(overlay::Session& session,
-                      const std::vector<overlay::NodeId>& candidates,
-                      overlay::NodeId id);
   // The paper's switching predicate for `id` against its current parent.
   bool SwitchConditionHolds(overlay::Session& session, overlay::NodeId id,
                             overlay::NodeId parent);

@@ -41,11 +41,7 @@ std::uint64_t CurrentPeakRssBytes() {
 
 }  // namespace
 
-SimProfiler::SimProfiler() : wall_us_(WallBounds()), depth_(DepthBounds()) {
-  // Snapshot the process high-water mark so rss_delta_bytes() reports this
-  // run's growth, not whatever earlier cells in the grid already touched.
-  baseline_rss_bytes_ = CurrentPeakRssBytes();
-}
+SimProfiler::SimProfiler() : wall_us_(WallBounds()), depth_(DepthBounds()) {}
 
 void SimProfiler::BeginEvent(const char* tag, std::size_t queue_depth) {
   current_ = &per_tag_[tag != nullptr ? tag : "untagged"];
@@ -87,8 +83,6 @@ void SimProfiler::SampleMemory(std::size_t pool_live,
   pool_live_max_ = std::max(pool_live_max_, pool_live);
   pool_capacity_max_ = std::max(pool_capacity_max_, pool_capacity);
   peak_rss_bytes_ = std::max(peak_rss_bytes_, CurrentPeakRssBytes());
-  if (peak_rss_bytes_ > baseline_rss_bytes_)
-    rss_delta_bytes_ = peak_rss_bytes_ - baseline_rss_bytes_;
 }
 
 void SimProfiler::MergeFrom(const SimProfiler& other) {
@@ -104,7 +98,6 @@ void SimProfiler::MergeFrom(const SimProfiler& other) {
   loop_us_ += other.loop_us_;
   loop_events_ += other.loop_events_;
   peak_rss_bytes_ = std::max(peak_rss_bytes_, other.peak_rss_bytes_);
-  rss_delta_bytes_ = std::max(rss_delta_bytes_, other.rss_delta_bytes_);
   pool_live_max_ = std::max(pool_live_max_, other.pool_live_max_);
   pool_capacity_max_ = std::max(pool_capacity_max_, other.pool_capacity_max_);
   runs_ += other.runs_;
@@ -138,10 +131,9 @@ std::string SimProfiler::FormatTable() const {
                 events_per_sec());
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "  memory process_peak_rss_mb=%.1f max_run_rss_delta_mb=%.1f "
+                "  memory process_peak_rss_mb=%.1f "
                 "pool_live_max=%llu pool_capacity_max=%llu\n",
                 static_cast<double>(peak_rss_bytes_) / (1024.0 * 1024.0),
-                static_cast<double>(rss_delta_bytes_) / (1024.0 * 1024.0),
                 static_cast<unsigned long long>(pool_live_max_),
                 static_cast<unsigned long long>(pool_capacity_max_));
   out += buf;

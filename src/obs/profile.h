@@ -67,18 +67,10 @@ class SimProfiler {
                           : 0.0;
   }
   // Process-wide peak RSS observed during this run. getrusage's high-water
-  // mark is monotone over the process lifetime, so in a multi-cell grid a
-  // late cell inherits every earlier cell's peak -- this is an honest
-  // process number, not a per-run attribution; see rss_delta_bytes().
+  // mark is monotone over the process lifetime and counts every thread's
+  // allocations, so in a multi-cell grid this is an honest process number,
+  // not a per-run attribution.
   std::uint64_t peak_rss_bytes() const { return peak_rss_bytes_; }
-  // Peak-RSS growth attributable to this run: the peak observed while it
-  // ran minus the process high-water mark when the profiler was
-  // constructed. 0 when the run stayed under earlier cells' peak (its real
-  // footprint is then unobservable via getrusage). After MergeFrom: the
-  // largest single run's growth -- the closest getrusage gets to "the
-  // hungriest cell".
-  std::uint64_t rss_delta_bytes() const { return rss_delta_bytes_; }
-  std::uint64_t baseline_rss_bytes() const { return baseline_rss_bytes_; }
   std::size_t pool_live_max() const { return pool_live_max_; }
   std::size_t pool_capacity_max() const { return pool_capacity_max_; }
   const std::map<std::string, TagStats>& per_tag() const { return per_tag_; }
@@ -86,7 +78,7 @@ class SimProfiler {
   const Histogram& queue_depth_hist() const { return depth_; }
 
   // Folds another run's profile in: counts and times add, maxima (per-tag
-  // max_us, peak RSS, RSS delta, pool high-water marks) take the max, and
+  // max_us, peak RSS, pool high-water marks) take the max, and
   // the wall-time and queue-depth histograms merge. `other` must have
   // finished running.
   void MergeFrom(const SimProfiler& other);
@@ -110,12 +102,8 @@ class SimProfiler {
   std::uint64_t loop_start_events_ = 0;
   Clock::time_point loop_started_{};
   bool in_loop_ = false;
-  // Memory high-water marks. The baseline is the process peak RSS at
-  // construction; the delta subtracts it so per-cell tables do not
-  // attribute earlier cells' allocations to this run.
-  std::uint64_t baseline_rss_bytes_ = 0;
+  // Memory high-water marks.
   std::uint64_t peak_rss_bytes_ = 0;
-  std::uint64_t rss_delta_bytes_ = 0;
   std::size_t pool_live_max_ = 0;
   std::size_t pool_capacity_max_ = 0;
   int runs_ = 1;  // runs this profile covers; MergeFrom adds the other's

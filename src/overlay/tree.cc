@@ -203,12 +203,6 @@ bool Tree::IsInSubtreeOf(NodeId id, NodeId maybe_ancestor) const {
   return false;
 }
 
-std::size_t Tree::CountDescendants(NodeId id) const {
-  std::size_t n = 0;
-  ForEachDescendant(id, [&n](NodeId) { ++n; });
-  return n;
-}
-
 std::vector<NodeId> Tree::PathToRoot(NodeId id) const {
   std::vector<NodeId> path;
   NodeId cur = id;

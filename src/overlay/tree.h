@@ -240,8 +240,6 @@ class Tree {
     }
   }
 
-  std::size_t CountDescendants(NodeId id) const;
-
   // Number of tree edges shared by the root paths of a and b -- the loss
   // correlation function w(a, b) of Section 4.1. Both must be rooted.
   int SharedPathEdges(NodeId a, NodeId b) const;

@@ -222,34 +222,15 @@ bool CliqueProtocol::TryFreshAttach(Session& session, NodeId id) {
 bool CliqueProtocol::PreemptAttach(Session& session,
                                    const std::vector<NodeId>& pool,
                                    NodeId id) {
-  Tree& tree = session.tree();
-  // The joiner must be able to host the displaced leaf, and the leaf must
-  // be strictly weaker: each splice then grows rooted fan-out, so repeated
-  // preemptions terminate with the backlog drained rather than ping-ponging
-  // free-riders.
-  if (tree.SpareCapacity(id) < 1) return false;
-  const double joiner_bw = tree.Get(id).reported_bandwidth;
-  NodeId weakest = kNoNode;
-  for (NodeId c : pool) {
-    if (c == kRootId || IsBackboneCandidate(c)) continue;  // seats stay put
-    if (tree.ChildCount(c) != 0) continue;  // only leaves: nobody else moves
-    const double bw = tree.Get(c).reported_bandwidth;
-    if (bw >= joiner_bw) continue;
-    if (weakest == kNoNode || bw < tree.Get(weakest).reported_bandwidth ||
-        (bw == tree.Get(weakest).reported_bandwidth && c < weakest))
-      weakest = c;
-  }
-  if (weakest == kNoNode) return false;
-  // Splice: the joiner takes the leaf's slot, the leaf becomes its child --
-  // an intra-cluster move announced cluster-locally, never to the backbone.
-  const NodeId slot_parent = tree.Parent(weakest);
-  tree.Detach(weakest);
-  tree.Attach(slot_parent, id);
-  tree.Attach(id, weakest);
-  ++tree.Get(weakest).reconnections;
+  // Delegate seats stay put: the splice is an intra-cluster move announced
+  // cluster-locally, never to the backbone.
+  if (PreemptJoin(session.tree(), pool, id, [this](NodeId c) {
+        return IsBackboneCandidate(c);
+      }) == kNoNode)
+    return false;
   ++overflow_attaches_;
   local_messages_ += 2;  // eviction notice + the displaced leaf's reattach
-  const int mc = ClusterOf(slot_parent);
+  const int mc = ClusterOf(session.tree().Parent(id));
   if (mc >= 0) {
     cluster_of_[static_cast<std::size_t>(id)] = mc;
     clusters_[static_cast<std::size_t>(mc)].members.push_back(id);

@@ -156,8 +156,8 @@ class CliqueProtocol final : public overlay::Protocol {
   // Founds a new cluster with `id` as delegate (backbone-attaches it
   // first; no cluster is created when the backbone refuses).
   bool FormCluster(overlay::Session& session, overlay::NodeId id);
-  // Capacity-saturated tree: splice `id` into a weaker childless leaf's
-  // slot and adopt the leaf (the ROST preempt-join move, cluster-locally).
+  // Capacity-saturated tree: the preempt join (proto::PreemptJoin, the
+  // move ROST makes) with delegate seats pinned, announced cluster-locally.
   // Every splice strictly grows rooted fan-out, so the post-flash-crowd
   // orphan backlog drains instead of deadlocking on a full tree.
   bool PreemptAttach(overlay::Session& session,

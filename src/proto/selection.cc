@@ -1,8 +1,11 @@
 #include "proto/selection.h"
 
+#include "util/check.h"
+
 namespace omcast::proto {
 
 using overlay::kNoNode;
+using overlay::kRootId;
 using overlay::NodeId;
 using overlay::Session;
 using overlay::Tree;
@@ -47,6 +50,36 @@ NodeId PickOldestParent(Session& session, const std::vector<NodeId>& candidates,
     }
   }
   return best;
+}
+
+NodeId PreemptJoin(Tree& tree, const std::vector<NodeId>& candidates,
+                   NodeId joining,
+                   const std::function<bool(NodeId)>& pinned) {
+  if (tree.SpareCapacity(joining) < 1) return kNoNode;
+  const double joiner_bw = tree.Get(joining).reported_bandwidth;
+  NodeId weakest = kNoNode;
+  double weakest_bw = 0.0;
+  for (NodeId c : candidates) {
+    if (c == kRootId || (pinned && pinned(c))) continue;
+    if (tree.ChildCount(c) != 0) continue;  // only leaves: nobody else moves
+    const double bw = tree.Get(c).reported_bandwidth;
+    if (bw >= joiner_bw) continue;
+    if (weakest == kNoNode || bw < weakest_bw ||
+        (bw == weakest_bw && c < weakest)) {
+      weakest = c;
+      weakest_bw = bw;
+    }
+  }
+  if (weakest == kNoNode) return kNoNode;
+  // Splice: the joiner takes the leaf's slot, the leaf becomes its child.
+  const NodeId slot_parent = tree.Parent(weakest);
+  tree.Detach(weakest);
+  tree.Attach(slot_parent, joining);
+  tree.Attach(joining, weakest);
+  ++tree.Get(weakest).reconnections;
+  OMCAST_DCHECK(tree.IsRooted(joining) && tree.IsRooted(weakest),
+                "preempt join must leave both members rooted");
+  return weakest;
 }
 
 }  // namespace omcast::proto

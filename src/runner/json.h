@@ -1,24 +1,23 @@
-// Minimal, dependency-free JSON value for the experiment runner's structured
-// results (results/*.json, run manifests, bench_summary.json).
+// Minimal, dependency-free JSON document builder for the experiment
+// runner's structured results (results/*.json, run manifests) and
+// perfbench's report. The program only writes JSON; the validators and
+// summarizers under scripts/ read it.
 //
 // Design constraints, in order:
 //   * deterministic output -- object members keep insertion order, doubles
 //     are dumped with the shortest round-trip representation (to_chars), so
 //     two identical in-memory documents always serialize to identical bytes
 //     (the serial-vs-parallel digest test depends on this);
-//   * lossless integers -- 64-bit seeds do not fit in a double, so numbers
-//     remember whether they were parsed/built as uint64, int64 or double;
-//   * exact round trips -- Parse() reads a dumped document back to the same
-//     values, which is how the tests check Dump() and the trace exports.
+//   * lossless numbers -- 64-bit seeds do not fit in a double, so numbers
+//     remember whether they were built as uint64, int64 or double, and every
+//     finite double dumps to a token that reads back to the same bits
+//     (including -0.0). NaN/Inf dump as null (RFC 8259 has neither).
 //
-// Not a general-purpose JSON library: no comments, no trailing commas, no
-// \u surrogate pairs beyond the BMP, numbers must be finite (NaN/Inf are
-// serialized as null, matching RFC 8259's lack of them).
+// tests/test_runner_json.cc pins the bytes Dump() writes.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -26,12 +25,6 @@ namespace omcast::runner {
 
 class Json {
  public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  using Member = std::pair<std::string, Json>;
-  using Array = std::vector<Json>;
-  using Object = std::vector<Member>;
-
   Json() = default;                      // null
   Json(bool b) : type_(Type::kBool), bool_(b) {}
   Json(double v) : type_(Type::kNumber), num_kind_(NumKind::kDouble), dbl_(v) {}
@@ -53,43 +46,20 @@ class Json {
     return j;
   }
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
-
-  // Typed reads; abort (util::Fail) on a type mismatch -- results files are
-  // produced by this code, so a mismatch is a schema bug, not bad input.
-  bool AsBool() const;
-  double AsDouble() const;  // any number kind, converted
-  std::int64_t AsInt() const;
-  std::uint64_t AsUint() const;
-  const std::string& AsString() const;
-  const Array& AsArray() const;
-  const Object& AsObject() const;
-
-  // Object access. `Set` appends or overwrites; `Find` returns nullptr when
-  // the key is absent (the tests probe optional fields with it).
+  // Object member: appends, or overwrites an existing key in place.
+  // Calling on a null value promotes it to an empty object first.
   Json& Set(std::string key, Json value);
-  const Json* Find(std::string_view key) const;
 
   // Array append. Calling on a null value promotes it to an empty array
   // first, so `doc.Set("cells", Json::MakeArray())` boilerplate is optional.
   Json& Append(Json value);
 
-  std::size_t size() const;  // array/object element count, 0 otherwise
-
   // Serializes the value. indent < 0: compact single line; indent >= 0:
   // pretty-printed with that many spaces per level.
   std::string Dump(int indent = -1) const;
 
-  // Parses `text`; on failure returns null and, if `error` is non-null,
-  // stores a message with the byte offset of the problem.
-  static Json Parse(std::string_view text, std::string* error = nullptr);
-
  private:
+  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
   enum class NumKind { kDouble, kInt, kUint };
 
   void DumpTo(std::string& out, int indent, int depth) const;
@@ -101,8 +71,8 @@ class Json {
   std::int64_t int_ = 0;
   std::uint64_t uint_ = 0;
   std::string str_;
-  Array arr_;
-  Object obj_;
+  std::vector<Json> arr_;
+  std::vector<std::pair<std::string, Json>> obj_;
 };
 
 }  // namespace omcast::runner

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/check.h"
-
 namespace omcast::util {
 
 void RunningStat::Add(double x) {
@@ -49,20 +47,6 @@ double RunningStat::ci95_half_width() const {
   return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-std::vector<CdfPoint> EmpiricalCdf(std::vector<double> samples) {
-  std::vector<CdfPoint> cdf;
-  if (samples.empty()) return cdf;
-  std::sort(samples.begin(), samples.end());
-  const double n = static_cast<double>(samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    // Collapse runs of equal values into a single point with the final
-    // (highest) cumulative fraction.
-    if (i + 1 < samples.size() && samples[i + 1] == samples[i]) continue;
-    cdf.push_back({samples[i], static_cast<double>(i + 1) / n});
-  }
-  return cdf;
-}
-
 std::vector<double> CdfAt(std::vector<double> samples,
                           const std::vector<double>& at) {
   std::vector<double> out(at.size(), 0.0);
@@ -74,25 +58,6 @@ std::vector<double> CdfAt(std::vector<double> samples,
     out[i] = static_cast<double>(it - samples.begin()) / n;
   }
   return out;
-}
-
-double Percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  Check(p >= 0.0 && p <= 100.0, "percentile p must be in [0,100]");
-  std::sort(samples.begin(), samples.end());
-  if (samples.size() == 1) return samples.front();
-  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-double Mean(const std::vector<double>& samples) {
-  if (samples.empty()) return 0.0;
-  double sum = 0.0;
-  for (double s : samples) sum += s;
-  return sum / static_cast<double>(samples.size());
 }
 
 }  // namespace omcast::util

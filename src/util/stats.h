@@ -1,7 +1,7 @@
 // Statistics helpers shared by the metrics collectors and the experiment
-// harness: streaming mean/variance, percentiles, CDFs and confidence
-// intervals.  All of these operate on plain doubles so that callers can feed
-// them counts, delays (ms), ratios, etc.
+// harness: streaming mean/variance with confidence intervals, and an
+// empirical CDF evaluated on a grid.  Both operate on plain doubles so that
+// callers can feed them counts, delays (ms), ratios, etc.
 #pragma once
 
 #include <cstddef>
@@ -36,26 +36,9 @@ class RunningStat {
   double max_ = 0.0;
 };
 
-// One (x, y) point of an empirical CDF.
-struct CdfPoint {
-  double value = 0.0;    // sample value
-  double fraction = 0.0; // P(X <= value), in [0, 1]
-};
-
-// Builds the empirical CDF of `samples` evaluated at each distinct sample
-// value. `samples` is taken by value because it must be sorted.
-std::vector<CdfPoint> EmpiricalCdf(std::vector<double> samples);
-
 // Evaluates the empirical CDF at chosen abscissae (e.g. the 1,2,4,...,128
 // grid of the paper's Fig. 5): returns P(X <= at[i]) for each i.
 std::vector<double> CdfAt(std::vector<double> samples,
                           const std::vector<double>& at);
-
-// p-th percentile (p in [0,100]) by linear interpolation; `samples` by value
-// because it must be sorted. Empty input yields 0.
-double Percentile(std::vector<double> samples, double p);
-
-// Arithmetic mean; 0 for empty input.
-double Mean(const std::vector<double>& samples);
 
 }  // namespace omcast::util

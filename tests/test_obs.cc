@@ -1,8 +1,7 @@
 // Unit tests for the observability subsystem (src/obs): the metrics
 // registry (counters / gauges / fixed-bucket histograms, cross-checked
 // against util::RunningStat), the bounded trace ring and its JSONL /
-// Chrome-trace exports (round-tripped through the runner's own JSON
-// parser), and the simulator profiler.
+// Chrome-trace exports (pinned byte for byte), and the simulator profiler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +16,6 @@
 #include "obs/registry.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "runner/json.h"
 #include "sim/simulator.h"
 #include "util/stats.h"
 
@@ -344,46 +342,32 @@ TEST(Tracer, ClearKeepsLifetimeTallies) {
   EXPECT_EQ(tracer.Events().front().id, 1u);
 }
 
-TEST(Tracer, JsonlRoundTripsThroughRunnerJson) {
+TEST(Tracer, JsonlWritesOneLinePerEvent) {
   Tracer tracer(8);
   tracer.Emit(12.5, EventKind::kLockGrant, 17, 4, 2);
   tracer.Emit(13.0, EventKind::kSwitchCommit, 4, 17);
-  std::istringstream lines(tracer.ToJsonl());
-  std::string line;
-  std::vector<runner::Json> parsed;
-  while (std::getline(lines, line)) {
-    std::string error;
-    parsed.push_back(runner::Json::Parse(line, &error));
-    ASSERT_TRUE(error.empty()) << "bad JSONL line: " << line << ": " << error;
-  }
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].Find("t")->AsDouble(), 12.5);
-  EXPECT_EQ(parsed[0].Find("id")->AsUint(), 0u);
-  EXPECT_EQ(parsed[0].Find("kind")->AsString(), "lock_grant");
-  EXPECT_EQ(parsed[0].Find("subject")->AsInt(), 17);
-  EXPECT_EQ(parsed[0].Find("peer")->AsInt(), 4);
-  EXPECT_EQ(parsed[0].Find("detail")->AsInt(), 2);
-  EXPECT_EQ(parsed[1].Find("kind")->AsString(), "switch_commit");
-  EXPECT_EQ(parsed[1].Find("peer")->AsInt(), 17);
+  EXPECT_EQ(tracer.ToJsonl(),
+            "{\"t\":12.5,\"id\":0,\"kind\":\"lock_grant\",\"subject\":17,"
+            "\"peer\":4,\"detail\":2}\n"
+            "{\"t\":13,\"id\":1,\"kind\":\"switch_commit\",\"subject\":4,"
+            "\"peer\":17,\"detail\":0}\n");
 }
 
 TEST(Tracer, ChromeTraceIsValidJsonWithOneEntryPerEvent) {
   Tracer tracer(8);
   tracer.Emit(0.5, EventKind::kEln, 3, -1, 7);
   tracer.Emit(1.5, EventKind::kRepairStart, 9, 3, 1);
-  std::string error;
-  const runner::Json doc = runner::Json::Parse(tracer.ToChromeTrace(), &error);
-  ASSERT_TRUE(error.empty()) << error;
-  const runner::Json* events = doc.Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-  ASSERT_EQ(events->size(), 2u);
-  const runner::Json& first = events->AsArray()[0];
-  EXPECT_EQ(first.Find("name")->AsString(), "eln");
-  EXPECT_EQ(first.Find("ph")->AsString(), "i");
-  // Sim seconds surface as trace microseconds.
-  EXPECT_EQ(first.Find("ts")->AsDouble(), 0.5 * 1e6);
-  EXPECT_EQ(first.Find("tid")->AsInt(), 3);
+  // One instant event per emission, one track (tid) per subject; sim
+  // seconds surface as trace microseconds, in the shortest form to_chars
+  // finds (5e+05 is a valid JSON number).
+  EXPECT_EQ(tracer.ToChromeTrace(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+            "{\"name\":\"eln\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":3,"
+            "\"ts\":5e+05,\"args\":{\"id\":0,\"peer\":-1,\"detail\":7}},\n"
+            "{\"name\":\"repair_start\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
+            "\"tid\":9,\"ts\":1500000,\"args\":{\"id\":1,\"peer\":3,"
+            "\"detail\":1}}\n"
+            "]}\n");
 }
 
 TEST(Tracer, DigestIsOrderAndContentSensitive) {
@@ -481,17 +465,21 @@ TEST(JsonlStreamSink, OutlivesTheRingsEvictionHorizon) {
   for (int i = 0; i < 6; ++i)
     tracer.Emit(static_cast<double>(i), EventKind::kGossipRound, i, -1, i);
   EXPECT_EQ(sink.events_written(), 6u);
-  // Every line parses, and the stream kept ids the ring has already lost.
-  std::istringstream lines(stream.str());
-  std::string line;
-  std::uint64_t expected_id = 0;
-  while (std::getline(lines, line)) {
-    std::string error;
-    const runner::Json parsed = runner::Json::Parse(line, &error);
-    ASSERT_TRUE(error.empty()) << error;
-    EXPECT_EQ(parsed.Find("id")->AsUint(), expected_id++);
-  }
-  EXPECT_EQ(expected_id, 6u);
+  // The stream kept every line, including the ids the ring has lost.
+  EXPECT_EQ(tracer.size(), 2u);
+  EXPECT_EQ(stream.str(),
+            "{\"t\":0,\"id\":0,\"kind\":\"gossip_round\",\"subject\":0,"
+            "\"peer\":-1,\"detail\":0}\n"
+            "{\"t\":1,\"id\":1,\"kind\":\"gossip_round\",\"subject\":1,"
+            "\"peer\":-1,\"detail\":1}\n"
+            "{\"t\":2,\"id\":2,\"kind\":\"gossip_round\",\"subject\":2,"
+            "\"peer\":-1,\"detail\":2}\n"
+            "{\"t\":3,\"id\":3,\"kind\":\"gossip_round\",\"subject\":3,"
+            "\"peer\":-1,\"detail\":3}\n"
+            "{\"t\":4,\"id\":4,\"kind\":\"gossip_round\",\"subject\":4,"
+            "\"peer\":-1,\"detail\":4}\n"
+            "{\"t\":5,\"id\":5,\"kind\":\"gossip_round\",\"subject\":5,"
+            "\"peer\":-1,\"detail\":5}\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -547,41 +535,6 @@ TEST(SimProfiler, SampleMemoryKeepsHighWaterMarks) {
   EXPECT_EQ(profiler.pool_capacity_max(), 128u);
   // getrusage-backed peak RSS: any live process has resident pages.
   EXPECT_GT(profiler.peak_rss_bytes(), 0u);
-}
-
-TEST(SimProfiler, RssDeltaIsBaselinedAtConstruction) {
-  // The per-cell attribution story: peak_rss_bytes() is process-wide (it
-  // includes every cell that ran before this one), while rss_delta_bytes()
-  // subtracts the baseline captured at construction -- so a profiler built
-  // late in a process reports only growth during its own run, never the
-  // predecessors' footprint.
-  obs::SimProfiler profiler;
-  profiler.SampleMemory(0, 0);
-  EXPECT_GT(profiler.baseline_rss_bytes(), 0u);
-  // getrusage's high-water mark is monotone, so a sampled peak can never
-  // fall below the construction-time baseline.
-  EXPECT_GE(profiler.peak_rss_bytes(), profiler.baseline_rss_bytes());
-  EXPECT_EQ(profiler.rss_delta_bytes(),
-            profiler.peak_rss_bytes() - profiler.baseline_rss_bytes());
-  EXPECT_LE(profiler.rss_delta_bytes(), profiler.peak_rss_bytes());
-
-  // A merge keeps the largest single run's delta: not a sum, and not the
-  // merged peak minus the receiving profiler's own baseline. The growing
-  // run touches 16 MB, which a later run's baseline already includes.
-  obs::SimProfiler growing;
-  const std::string block(16 << 20, 'x');
-  growing.SampleMemory(0, 0);
-  obs::SimProfiler flat;
-  flat.SampleMemory(0, 0);
-  const std::uint64_t largest =
-      std::max(growing.rss_delta_bytes(), flat.rss_delta_bytes());
-  obs::SimProfiler growing_then_flat = growing;
-  growing_then_flat.MergeFrom(flat);
-  EXPECT_EQ(growing_then_flat.rss_delta_bytes(), largest);
-  obs::SimProfiler flat_then_growing = flat;
-  flat_then_growing.MergeFrom(growing);
-  EXPECT_EQ(flat_then_growing.rss_delta_bytes(), largest);
-  EXPECT_EQ(block.back(), 'x');
 }
 
 TEST(SimProfiler, RunLoopSamplesPoolOccupancy) {

@@ -10,10 +10,14 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rand/rng.h"
@@ -265,24 +269,23 @@ TEST(ResultsSink, AggregationMatchesRunningStatOnKnownInputs) {
       EXPECT_DOUBLE_EQ(got.ci95_half_width(), expected.ci95_half_width());
     }
   }
-  // The JSON aggregates carry the same numbers.
-  const runner::Json doc = sink.ToJson();
-  const runner::Json* aggregates = doc.Find("aggregates");
-  ASSERT_NE(aggregates, nullptr);
-  bool found = false;
-  for (const runner::Json& agg : aggregates->AsArray()) {
-    if (agg.Find("row")->AsString() == "20" &&
-        agg.Find("col")->AsString() == "beta" &&
-        agg.Find("metric")->AsString() == "value") {
-      found = true;
-      EXPECT_EQ(agg.Find("n")->AsUint(), 4u);
-      EXPECT_DOUBLE_EQ(agg.Find("mean")->AsDouble(),
-                       sink.Stat(1, 1, "value").mean());
-      EXPECT_DOUBLE_EQ(agg.Find("ci95")->AsDouble(),
-                       sink.Stat(1, 1, "value").ci95_half_width());
-    }
+  // The JSON aggregates carry the same numbers: the (20, beta, value)
+  // record, written with shortest round-trip doubles.
+  const util::RunningStat stat = sink.Stat(1, 1, "value");
+  std::string record =
+      "{\"row\":\"20\",\"col\":\"beta\",\"metric\":\"value\",\"n\":4";
+  const std::pair<const char*, double> fields[] = {
+      {"mean", stat.mean()}, {"stddev", stat.stddev()},
+      {"ci95", stat.ci95_half_width()}, {"min", stat.min()},
+      {"max", stat.max()}};
+  for (const auto& [name, value] : fields) {
+    char buf[32];
+    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+    ASSERT_EQ(ec, std::errc());
+    record += std::string(",\"") + name + "\":" + std::string(buf, ptr);
   }
-  EXPECT_TRUE(found);
+  record += "}";
+  EXPECT_NE(sink.ToJson().Dump().find(record), std::string::npos) << record;
 }
 
 TEST(ResultsSink, PooledSamplesConcatenateInRepOrder) {

@@ -60,16 +60,6 @@ TEST(RunningStat, Ci95ShrinksWithSamples) {
   EXPECT_GT(large.ci95_half_width(), 0.0);
 }
 
-TEST(EmpiricalCdf, CollapsesDuplicates) {
-  const auto cdf = EmpiricalCdf({1.0, 1.0, 2.0, 3.0});
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_EQ(cdf[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(cdf[0].fraction, 0.5);
-  EXPECT_DOUBLE_EQ(cdf[2].fraction, 1.0);
-}
-
-TEST(EmpiricalCdf, EmptyInput) { EXPECT_TRUE(EmpiricalCdf({}).empty()); }
-
 TEST(CdfAt, EvaluatesAtGrid) {
   const auto f = CdfAt({1, 2, 4, 8, 16}, {0.5, 1.0, 4.0, 100.0});
   ASSERT_EQ(f.size(), 4u);
@@ -77,20 +67,6 @@ TEST(CdfAt, EvaluatesAtGrid) {
   EXPECT_DOUBLE_EQ(f[1], 0.2);
   EXPECT_DOUBLE_EQ(f[2], 0.6);
   EXPECT_DOUBLE_EQ(f[3], 1.0);
-}
-
-TEST(Percentile, InterpolatesLinearly) {
-  const std::vector<double> v = {10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(Percentile(v, 0), 10.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 100), 40.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 50), 25.0);
-  EXPECT_DOUBLE_EQ(Percentile({7.0}, 50), 7.0);
-  EXPECT_DOUBLE_EQ(Percentile({}, 50), 0.0);
-}
-
-TEST(Mean, Basic) {
-  EXPECT_DOUBLE_EQ(Mean({1, 2, 3}), 2.0);
-  EXPECT_DOUBLE_EQ(Mean({}), 0.0);
 }
 
 }  // namespace

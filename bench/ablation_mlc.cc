@@ -10,13 +10,12 @@ int main(int argc, char** argv) {
   using namespace omcast;
   util::FlagSet flags;
   bench::DefineCommonFlags(flags);
-  flags.Define("group", "3", "recovery group size");
   if (!flags.Parse(argc, argv)) return 1;
   const bench::BenchEnv env = bench::MakeEnv(flags);
   bench::PrintHeader("Ablation -- CER ingredients (selection x aggregation)",
                      env);
 
-  const int group = flags.GetInt("group");
+  const int group = stream::StreamParams{}.recovery_group_size;
   runner::GridSpec spec;
   spec.figure = "ablation_mlc";
   spec.title = "CER ingredient ablation (selection x aggregation)";
@@ -25,9 +24,8 @@ int main(int argc, char** argv) {
   spec.cols = {"cooperative", "single"};
   spec.reps = env.reps;
   spec.headline_metric = "starving_ratio";
-  spec.run = [&env, group](const runner::CellContext& cell) {
+  spec.run = [&env](const runner::CellContext& cell) {
     stream::StreamParams sp;
-    sp.recovery_group_size = group;
     sp.selection = cell.row == 0 ? core::GroupSelection::kMlc
                                  : core::GroupSelection::kRandom;
     sp.mode = cell.col == 0 ? core::RecoveryMode::kCooperative

@@ -16,9 +16,8 @@
 //                         on scale_sweep, whose cells run one at a time.
 //   --out=DIR             write DIR/<figure>.json (empty: no JSON output).
 //   --progress=true|false per-cell progress + ETA lines on stderr.
-//   --log-level=LEVEL     debug|info|warn|error (default warn).
-// An unknown --log-level, or an --out or --trace-stream directory that
-// cannot be created, exits 1 before any cell runs.
+// An --out or --trace-stream directory that cannot be created exits 1
+// before any cell runs.
 //
 // Figure flags, on the BenchEnv benches (DefineCommonFlags, which also
 // registers the driver flags):
@@ -32,10 +31,9 @@
 //   --warmup=S --measure=S  override the phase lengths (seconds).
 //
 // Cell observability flags, on fig04_disruptions, bakeoff and
-// degraded_grid (DefineObservabilityFlags):
-//   --timeseries=S        recovery-curve sampling window in sim seconds
-//                         (0 disables); curves land in each cell's
-//                         schema-v3 "timeseries" block.
+// degraded_grid (DefineObservabilityFlags), whose cells always sample their
+// recovery curves in kTimeSeriesWindowS windows into the schema-v3
+// "timeseries" block:
 //   --trace-stream=DIR    per-cell streaming trace JSONL under DIR
 //                         (obs::JsonlStreamSink; empty disables).
 //   --profile=true        fig04_disruptions only: a per-cell
@@ -65,7 +63,6 @@
 #include "runner/results.h"
 #include "runner/runner.h"
 #include "util/flags.h"
-#include "util/log.h"
 #include "util/table.h"
 
 namespace omcast::bench {
@@ -87,8 +84,7 @@ inline void DefineDriverFlags(util::FlagSet& flags,
                               const char* threads_default) {
   flags.Define("seed", "1", "base RNG seed")
       .Define("out", "", "directory for <figure>.json results (empty: none)")
-      .Define("progress", "true", "per-cell progress/ETA lines on stderr")
-      .Define("log-level", "warn", "debug | info | warn | error");
+      .Define("progress", "true", "per-cell progress/ETA lines on stderr");
   if (threads_default != nullptr)
     flags.Define("threads", threads_default,
                  "worker threads (0 = hardware concurrency)");
@@ -107,21 +103,11 @@ inline void CreateFlagDirectory(const char* flag, const std::string& dir) {
   std::exit(1);
 }
 
-// Reads the driver flags back from parsed `flags`, applies --log-level and
-// creates the --out directory; exits 1 when either fails. `threads_flag`
-// says whether DefineDriverFlags registered --threads.
+// Reads the driver flags back from parsed `flags` and creates the --out
+// directory; exits 1 when that fails. `threads_flag` says whether
+// DefineDriverFlags registered --threads.
 inline Driver ReadDriverFlags(const util::FlagSet& flags,
                               bool threads_flag = true) {
-  const std::string level = flags.GetString("log-level");
-  if (level == "debug") util::SetLogLevel(util::LogLevel::kDebug);
-  else if (level == "info") util::SetLogLevel(util::LogLevel::kInfo);
-  else if (level == "warn") util::SetLogLevel(util::LogLevel::kWarn);
-  else if (level == "error") util::SetLogLevel(util::LogLevel::kError);
-  else {
-    std::cerr << "unknown --log-level '" << level
-              << "' (debug|info|warn|error)\n";
-    std::exit(1);
-  }
   Driver driver;
   driver.seed = flags.GetU64("seed");
   if (threads_flag) driver.threads = flags.GetInt("threads");
@@ -270,20 +256,20 @@ inline GridRun RunGridBench(const BenchEnv& env, const runner::GridSpec& spec) {
 // traces and the dispatch profile.
 // ---------------------------------------------------------------------------
 
+// The recovery-curve sampling window of every observed cell, in simulated
+// seconds.
+inline constexpr double kTimeSeriesWindowS = 5.0;
+
 // The values of the cell observability flags.
 struct Observability {
-  double timeseries_window_s = 5.0;  // 0 disables recovery-curve sampling
-  std::string trace_dir;             // empty: no streaming trace
+  std::string trace_dir;  // empty: no streaming trace
   bool profile = false;
 };
 
-// Registers --timeseries and --trace-stream on `flags`, and --profile when
-// `profile` is set.
+// Registers --trace-stream on `flags`, and --profile when `profile` is set.
 inline void DefineObservabilityFlags(util::FlagSet& flags, bool profile) {
-  flags.Define("timeseries", "5",
-               "recovery-curve sampling window seconds (0 = off)")
-      .Define("trace-stream", "",
-              "directory for per-cell streaming trace JSONL (empty: off)");
+  flags.Define("trace-stream", "",
+               "directory for per-cell streaming trace JSONL (empty: off)");
   if (profile)
     flags.Define("profile", "false",
                  "profile simulator dispatch (per-tag counts/wall-time)");
@@ -295,7 +281,6 @@ inline void DefineObservabilityFlags(util::FlagSet& flags, bool profile) {
 inline Observability ReadObservabilityFlags(const util::FlagSet& flags,
                                             bool profile) {
   Observability o;
-  o.timeseries_window_s = flags.GetDouble("timeseries");
   o.trace_dir = flags.GetString("trace-stream");
   CreateFlagDirectory("trace-stream", o.trace_dir);
   o.profile = profile && flags.GetBool("profile");
@@ -369,25 +354,24 @@ class CellTraceStream {
 // One cell's observability. Wire() points the five observability fields of
 // an exp::ScenarioConfig or exp::ChaosConfig (the two name them alike) at
 // this cell's registry, --trace-stream tracer and `profiler` (the cell's
-// --profile slot, or null), sets the --timeseries window and turns incident
-// analysis on. After the run, Export() copies the registry, the incidents
-// and the recovery curves into the cell's results (schema v3). The profile
-// stays in its slot: it is wall clock, so it never enters results or
+// --profile slot, or null), sets the kTimeSeriesWindowS window and turns
+// incident analysis on. After the run, Export() copies the registry, the
+// incidents and the recovery curves into the cell's results (schema v3). The
+// profile stays in its slot: it is wall clock, so it never enters results or
 // digests.
 class CellObservability {
  public:
   CellObservability(const Observability& options,
                     const runner::CellContext& cell,
                     obs::SimProfiler* profiler = nullptr)
-      : options_(options), trace_(options.trace_dir, cell),
-        profiler_(profiler) {}
+      : trace_(options.trace_dir, cell), profiler_(profiler) {}
 
   template <typename Config>
   void Wire(Config* config) {
     config->tracer = trace_.tracer();
     config->registry = &registry_;
     config->profiler = profiler_;
-    config->timeseries_window_s = options_.timeseries_window_s;
+    config->timeseries_window_s = kTimeSeriesWindowS;
     config->incident_analysis = true;
   }
 
@@ -401,7 +385,6 @@ class CellObservability {
   }
 
  private:
-  const Observability& options_;
   obs::Registry registry_;
   CellTraceStream trace_;
   obs::SimProfiler* profiler_;

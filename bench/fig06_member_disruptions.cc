@@ -43,14 +43,13 @@ int main(int argc, char** argv) {
   util::FlagSet flags;
   bench::DefineCommonFlags(flags);
   flags.Define("trace-minutes", "300", "how long to follow the member");
-  flags.Define("member-bw", "2.0", "tagged member bandwidth");
   if (!flags.Parse(argc, argv)) return 1;
   const bench::BenchEnv env = bench::MakeEnv(flags);
   bench::PrintHeader("Fig. 6 -- cumulative disruptions of a typical member",
                      env);
 
   const double trace_s = flags.GetDouble("trace-minutes") * 60.0;
-  const double member_bw = flags.GetDouble("member-bw");
+  const double member_bw = 2.0;  // the tagged member's bandwidth
 
   // One tagged member per cell (as in the paper); reps take the edge off
   // the single-member anecdote. The trace is recorded as (t_min, value)

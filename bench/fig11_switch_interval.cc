@@ -11,12 +11,11 @@ int main(int argc, char** argv) {
   using namespace omcast;
   util::FlagSet flags;
   bench::DefineCommonFlags(flags);
-  flags.Define("intervals", "480,960,1200,1800", "switching intervals (s)");
   if (!flags.Parse(argc, argv)) return 1;
   const bench::BenchEnv env = bench::MakeEnv(flags);
   bench::PrintHeader("Fig. 11 -- effect of the ROST switching interval", env);
 
-  const std::vector<int> intervals = flags.GetIntList("intervals");
+  const std::vector<int> intervals = {480, 960, 1200, 1800};
   runner::GridSpec spec;
   spec.figure = "fig11_switch_interval";
   spec.title = "effect of the ROST switching interval";

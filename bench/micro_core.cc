@@ -214,13 +214,17 @@ BENCHMARK(BM_ForEachDescendantFromRoot)->Arg(2000)->Arg(10000);
 
 // Each iteration injects one more member (lifetime far past the run), so a
 // fixed iteration count bounds the overlay's growth to 5% at 2k. Between
-// injections the simulator runs 1 s forward, untimed: each joiner then
-// carries its own join time, as arrivals in a cell do (joiners injected at
-// one instant tie on relaxed-TO's rank key, which sends the fold of the
-// closing attach to a walk of the whole branch), and the departures and
-// rejoins of that second run outside the timed region.
+// injections the simulator runs forward, untimed, by a cell's mean
+// inter-arrival time (mean lifetime / N: 0.90 s at 2k, 0.18 s at 10k), so
+// each joiner carries its own join time and follows about one departure,
+// as an arrival in a cell does (joiners injected at one instant tie on
+// relaxed-TO's rank key, which sends the fold of the closing attach to a
+// walk of the whole branch). Single runs of a row's 100 joins differed by
+// up to 1.7x, so a row reports the median of five repetitions.
 void BM_RelaxedJoin(benchmark::State& state) {
   const bool time_ordered = state.range(1) == 1;
+  const double gap_s =
+      rnd::kMeanLifetimeSeconds / static_cast<double>(state.range(0));
   sim::Simulator sim;
   overlay::Session session(
       sim, PaperTopology(),
@@ -233,7 +237,7 @@ void BM_RelaxedJoin(benchmark::State& state) {
   const rnd::BoundedPareto bandwidth = rnd::PaperBandwidthDist();
   for (auto _ : state) {
     state.PauseTiming();
-    sim.RunUntil(sim.now() + 1.0);
+    sim.RunUntil(sim.now() + gap_s);
     state.ResumeTiming();
     benchmark::DoNotOptimize(session.InjectMember(bandwidth.Sample(rng), 1e6));
   }
@@ -245,6 +249,8 @@ BENCHMARK(BM_RelaxedJoin)
     ->Args({10000, 0})
     ->Args({10000, 1})
     ->Iterations(100)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMicrosecond);
 
 // --- heartbeat and gossip timers on prepopulated overlays -------------------

@@ -4,10 +4,12 @@
 # per-cell results). Measured with THREADS=4 on a 4-core VM (g++ 12,
 # RelWithDebInfo), the whole sweep took 12 min 2 s of wall time (45 min of
 # CPU). The tree-size sweep (fig04_disruptions, which prints Figs. 4, 7, 8
-# and 10 from 75 cells) took 244 s. Its critical path is the centralized
-# relaxed-BO/TO cells, which scan the whole tree per join: the longest, at
-# 14000 members, took 94 s. Fig. 12 took 143 s, Fig. 13 123 s, and every
-# other bench 62 s or less, so an interrupted sweep is simply rerun.
+# and 10 from 75 cells) took 244 s; its critical path was the centralized
+# relaxed-BO/TO cells, which then scanned the whole tree per join (the
+# longest, at 14000 members, took 94 s). They now merge cached per-branch
+# summaries instead, so that path is shorter; the sweep has not been
+# re-timed since. Fig. 12 took 143 s, Fig. 13 123 s, and every other bench
+# 62 s or less, so an interrupted sweep is simply rerun.
 #
 # Environment knobs:
 #   THREADS=N   worker threads per bench (default: all cores)
@@ -49,9 +51,6 @@ run fig06_member_disruptions 1   # Figs. 6 and 9: one tagged-member trace
 run ablation_btp 3
 run ablation_mlc 3
 run ablation_gossip 3
-
-python3 scripts/make_bench_summary.py "$OUT" -o "$OUT/bench_summary.json" \
-  || status=1
 
 if [ "$status" -eq 0 ]; then echo ALL-PAPER-BENCHES-DONE; fi
 exit "$status"

@@ -3,8 +3,6 @@
 # experiment runner. Each bench writes:
 #   results/small/<name>.txt    -- the aligned text tables (stdout)
 #   results/small/<name>.json   -- versioned per-cell results + run manifest
-# and the sweep finishes by distilling results/small/bench_summary.json
-# (per-figure wall-clock + headline metric) for regression eyeballing.
 #
 # Environment knobs:
 #   THREADS=N   worker threads per bench (default: all cores)
@@ -35,9 +33,6 @@ for name in fig04_disruptions fig05_disruption_cdf fig06_member_disruptions \
     status=1
   fi
 done
-
-python3 scripts/make_bench_summary.py "$OUT" -o "$OUT/bench_summary.json" \
-  || status=1
 
 if [ "$status" -eq 0 ]; then echo ALL-SMALL-BENCHES-DONE; fi
 exit "$status"

@@ -7,11 +7,6 @@ namespace omcast::core {
 using overlay::NodeId;
 using overlay::Session;
 
-RefereeService::RefereeService(RefereeParams params) : params_(params) {
-  util::Check(params_.age_referees > 1, "r_age must exceed 1 (Section 3.4)");
-  util::Check(params_.bw_referees > 1, "r_bw must exceed 1 (Section 3.4)");
-}
-
 RefereeService::Record& RefereeService::RecordFor(NodeId node) {
   if (records_.size() <= static_cast<std::size_t>(node))
     records_.resize(static_cast<std::size_t>(node) + 1);
@@ -43,8 +38,8 @@ void RefereeService::Enroll(Session& session, NodeId node) {
   util::Check(!rec.enrolled, "member already enrolled");
   const overlay::Member& m = session.tree().Get(node);
   rec.enrolled = true;
-  rec.age_referees = PickReferees(session, node, params_.age_referees);
-  rec.bw_referees = PickReferees(session, node, params_.bw_referees);
+  rec.age_referees = PickReferees(session, node, kAgeReferees);
+  rec.bw_referees = PickReferees(session, node, kBwReferees);
   // Parent observed the join; measurer set gauges the real outgoing
   // bandwidth. Both are ground truth, not the member's claims.
   rec.attested_join_time = m.join_time;
@@ -75,7 +70,7 @@ double RefereeService::VerifiedAge(Session& session, NodeId node,
                                    sim::Time now) {
   Record& rec = RecordFor(node);
   util::Check(rec.enrolled, "verification requires enrollment");
-  if (!Repair(session, rec.age_referees, params_.age_referees)) {
+  if (!Repair(session, rec.age_referees, kAgeReferees)) {
     // All witnesses lost: the attested age restarts from the re-enrollment
     // instant (the member cannot prove its earlier history).
     rec.attested_join_time = now;
@@ -87,7 +82,7 @@ double RefereeService::VerifiedAge(Session& session, NodeId node,
 double RefereeService::VerifiedBandwidth(Session& session, NodeId node) {
   Record& rec = RecordFor(node);
   util::Check(rec.enrolled, "verification requires enrollment");
-  if (!Repair(session, rec.bw_referees, params_.bw_referees)) {
+  if (!Repair(session, rec.bw_referees, kBwReferees)) {
     // All witnesses lost: re-measure (an honest value again).
     rec.attested_bandwidth = session.tree().Get(node).bandwidth;
     ++resets_;

@@ -24,15 +24,13 @@
 
 namespace omcast::core {
 
-struct RefereeParams {
-  int age_referees = 2;  // r_age
-  int bw_referees = 2;   // r_bw
-};
+inline constexpr int kAgeReferees = 2;  // r_age
+inline constexpr int kBwReferees = 2;   // r_bw
+static_assert(kAgeReferees > 1, "r_age must exceed 1 (Section 3.4)");
+static_assert(kBwReferees > 1, "r_bw must exceed 1 (Section 3.4)");
 
 class RefereeService {
  public:
-  explicit RefereeService(RefereeParams params);
-
   // Parent-side enrollment when `node` first attaches: picks referees and
   // records the ground-truth join time and measured bandwidth.
   void Enroll(overlay::Session& session, overlay::NodeId node);
@@ -70,7 +68,6 @@ class RefereeService {
   std::vector<overlay::NodeId> PickReferees(overlay::Session& session,
                                             overlay::NodeId exclude, int count);
 
-  RefereeParams params_;
   std::vector<Record> records_;
   long replacements_ = 0;
   long resets_ = 0;

@@ -14,19 +14,9 @@ using overlay::kRootId;
 using overlay::NodeId;
 using overlay::Session;
 
-RostProtocol::RostProtocol(RostParams params)
-    : params_(params), referees_(params.referee) {
+RostProtocol::RostProtocol(RostParams params) : params_(params) {
   util::Check(params_.switching_interval_s > 0.0,
               "switching interval must be positive");
-  util::Check(params_.lock_retry_delay_s > 0.0,
-              "lock retry delay must be positive");
-  util::Check(params_.lock_hold_s > 0.0, "lock hold time must be positive");
-  util::Check(params_.lock_request_timeout_s > 0.0,
-              "lock request timeout must be positive");
-  util::Check(params_.lock_lease_s > params_.lock_request_timeout_s,
-              "a lease must outlive the grant-collection window");
-  util::Check(params_.lock_retry_max_backoff >= 1,
-              "lock retry backoff cap must be at least 1");
 }
 
 RostProtocol::NodeState& RostProtocol::StateFor(NodeId id) {
@@ -118,7 +108,7 @@ bool RostProtocol::TryLock(Session& session, const std::vector<NodeId>& set) {
     const NodeState& st = StateFor(id);
     if (st.locked_until > now || st.recovering) return false;
   }
-  for (NodeId id : set) StateFor(id).locked_until = now + params_.lock_hold_s;
+  for (NodeId id : set) StateFor(id).locked_until = now + kLockHoldS;
   AuditLockSet(session, set);
   return true;
 }
@@ -160,7 +150,7 @@ void RostProtocol::StartHandshake(Session& session, NodeId id, NodeId parent,
   hs->self_lease_serial = GrantLease(session, id, id);
   const std::uint64_t serial = hs->serial;
   hs->timeout = session.simulator().ScheduleAfter(
-      params_.lock_request_timeout_s,
+      kLockRequestTimeoutS,
       [this, &session, id, serial] { OnLockTimeout(session, id, serial); },
       "rost.lock_timeout");
   StateFor(id).handshake = std::move(hs);
@@ -339,7 +329,7 @@ std::uint64_t RostProtocol::GrantLease(Session& session, NodeId node,
                                        NodeId holder) {
   NodeState& st = StateFor(node);
   const sim::Time now = session.simulator().now();
-  st.locked_until = now + params_.lock_lease_s;
+  st.locked_until = now + kLockLeaseS;
   st.lease_held = true;
   st.lease_holder = holder;
   const std::uint64_t serial = ++st.lease_serial;
@@ -463,7 +453,7 @@ void RostProtocol::CheckSwitch(Session& session, NodeId id) {
     if (tracer != nullptr)
       tracer->Emit(session.simulator().now(), obs::EventKind::kLockDeny, id,
                    parent);
-    ScheduleCheck(session, id, params_.lock_retry_delay_s);
+    ScheduleCheck(session, id, kLockRetryDelayS);
     return;
   }
   if (tracer != nullptr) {
@@ -507,8 +497,8 @@ void RostProtocol::RetryAfterFailure(Session& session, NodeId id) {
   ++lock_retries_;
   const int shift = std::min(st.failed_attempts - 1, 20);
   const double mult = std::min(static_cast<double>(1L << shift),
-                               static_cast<double>(params_.lock_retry_max_backoff));
-  ScheduleCheck(session, id, params_.lock_retry_delay_s * mult);
+                               static_cast<double>(kLockRetryMaxBackoff));
+  ScheduleCheck(session, id, kLockRetryDelayS * mult);
 }
 
 bool RostProtocol::SwitchConditionHolds(Session& session, NodeId id,

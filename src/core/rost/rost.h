@@ -17,7 +17,7 @@
 //
 // The swap first locks the child, parent, grandparent, children and
 // siblings; if any is mid-switch or mid-failure-recovery the attempt is
-// retried after lock_retry_delay_s (the paper's "say, 15 seconds").
+// retried after kLockRetryDelayS (the paper's "say, 15 seconds").
 //
 // Locking has two implementations:
 //
@@ -27,10 +27,10 @@
 //   * the lease path (SetFaultPlane): the handshake is real messages --
 //     request -> grant/deny -> release -- each of which can be lost,
 //     duplicated, reordered or delayed. A grant is a *lease* that
-//     self-expires after lock_lease_s, so a lost release or a lock holder
+//     self-expires after kLockLeaseS, so a lost release or a lock holder
 //     that dies mid-handshake can never wedge its participants; an
 //     initiator that cannot assemble all grants within
-//     lock_request_timeout_s releases what it got and retries with bounded
+//     kLockRequestTimeoutS releases what it got and retries with bounded
 //     exponential backoff. Because the tree can change while messages are
 //     in flight, a completed handshake re-validates the whole neighbourhood
 //     before swapping and aborts (releasing every lease) on any mismatch.
@@ -67,29 +67,32 @@ namespace omcast::core {
 // child-parent swap mechanics).
 enum class SwitchCriterion { kBtp, kBandwidthOnly, kAgeOnly };
 
+// Wait before re-checking when the lock set could not be acquired (the
+// paper's "say, 15 seconds").
+inline constexpr double kLockRetryDelayS = 15.0;
+// How long a switch holds its locks (the handshake + state update time).
+inline constexpr double kLockHoldS = 2.0;
+// --- lease path (active only when a FaultPlane is installed) --------------
+// Lifetime of a granted lock lease.
+inline constexpr double kLockLeaseS = 10.0;
+// How long the initiator waits to assemble the full grant set before
+// releasing what it got and retrying.
+inline constexpr double kLockRequestTimeoutS = 2.0;
+// Failed lock attempts retry after kLockRetryDelayS * 2^(attempts-1),
+// capped at this multiplier.
+inline constexpr int kLockRetryMaxBackoff = 8;
+static_assert(kLockLeaseS > kLockRequestTimeoutS,
+              "a lease must outlive the grant-collection window, so a grant "
+              "that reaches the initiator just before its deadline still "
+              "covers the swap itself");
+
 struct RostParams {
   // Paper Section 5: default switching interval 360 s (Fig. 11 sweeps
   // 480-1800 s).
   double switching_interval_s = 360.0;
   SwitchCriterion criterion = SwitchCriterion::kBtp;
-  // Wait before re-checking when the lock set could not be acquired.
-  double lock_retry_delay_s = 15.0;
-  // How long a switch holds its locks (the handshake + state update time).
-  double lock_hold_s = 2.0;
-  // --- lease path (active only when a FaultPlane is installed) ------------
-  // Lifetime of a granted lock lease. Must exceed lock_request_timeout_s so
-  // a grant that reaches the initiator just before its deadline still
-  // covers the swap itself.
-  double lock_lease_s = 10.0;
-  // How long the initiator waits to assemble the full grant set before
-  // releasing what it got and retrying.
-  double lock_request_timeout_s = 2.0;
-  // Failed lock attempts retry after lock_retry_delay_s * 2^(attempts-1),
-  // capped at this multiplier.
-  int lock_retry_max_backoff = 8;
   // Use referee-attested values for switching decisions.
   bool use_referees = false;
-  RefereeParams referee;
 };
 
 class RostProtocol final : public overlay::Protocol {
@@ -146,7 +149,7 @@ class RostProtocol final : public overlay::Protocol {
   // changed underneath them and aborted instead of swapping.
   long handshake_aborts() const { return handshake_aborts_; }
   // Leases currently held (granted - released - expired). After a drain of
-  // at least lock_lease_s with no new switch attempts this must be zero --
+  // at least kLockLeaseS with no new switch attempts this must be zero --
   // the "no wedged locks" acceptance check.
   long leases_outstanding() const {
     return leases_granted_ - leases_released_ - leases_expired_;

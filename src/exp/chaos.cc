@@ -90,10 +90,12 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
 
   rnd::Rng chaos_rng(config.seed ^ 0xc4a05ULL);
   ChaosResult r;
-  // Built up-front so the recovery-curve sampler can write series into it
-  // while the run executes; the end-of-run counters are written in
-  // afterwards.
-  obs::Registry reg;
+  // The caller's registry when it set one, else a run-local one. Chosen
+  // up-front so the recovery-curve sampler can write series into it while
+  // the run executes; the end-of-run counters are written in afterwards.
+  obs::Registry local_registry;
+  obs::Registry& reg =
+      config.registry != nullptr ? *config.registry : local_registry;
 
   session.Prepopulate(config.population);
   session.StartArrivals(ArrivalRate(config.population));
@@ -304,7 +306,6 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
   session.protocol().ExportCounters(reg);
   r.incidents = observability.Finish(now, &reg);
   r.registry = reg.Flatten();
-  if (config.registry != nullptr) config.registry->MergeFrom(reg);
   r.avg_starving_ratio = stream.ratio_stat().mean();
   r.ci95 = stream.ratio_stat().ci95_half_width();
   r.members = static_cast<int>(stream.ratio_stat().count());

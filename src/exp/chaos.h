@@ -46,7 +46,7 @@ struct ChaosConfig {
   double warmup_s = 600.0;    // equilibration before the stream starts
   double stream_s = 120.0;    // packet-level stream length
   // Settling time after the stream: in-flight leases expire or release,
-  // orphans finish rejoining. Should exceed rost.lock_lease_s and the
+  // orphans finish rejoining. Should exceed core::kLockLeaseS and the
   // heartbeat suspicion timeout.
   double drain_s = 120.0;
   std::uint64_t seed = 1;
@@ -103,8 +103,9 @@ struct ChaosConfig {
 
   // --- observability (obs/) -- all non-owning, null = off, each must
   // outlive the run. See ScenarioConfig for semantics; the chaos runner
-  // additionally merges its end-of-run chaos counter snapshot into
-  // `registry`.
+  // records every series and end-of-run counter straight into `registry`
+  // (pass an empty one: nothing is reset), and into a run-local registry
+  // when it is null.
   obs::Tracer* tracer = nullptr;
   obs::Registry* registry = nullptr;
   obs::SimProfiler* profiler = nullptr;

@@ -214,7 +214,7 @@ Topology Topology::Generate(const TopologyParams& params, rnd::Rng& rng) {
   // The rng draw order (graph, gateway index, gateway edge) is identical in
   // both delay models: the graphs are bit-identical given the same seed.
   const int ns = params.nodes_per_stub_domain;
-  const int k = std::min(std::max(params.intra_landmarks, 1), ns);
+  const int k = std::min(kIntraLandmarks, ns);
   t.intra_stride_ = k;
   t.gateway_index_.resize(static_cast<std::size_t>(t.num_stub_domains_));
   t.gateway_edge_delay_.resize(static_cast<std::size_t>(t.num_stub_domains_));

@@ -41,9 +41,9 @@ using HostId = int;
 //     the per-domain APSP matrices (domains * ns^2 doubles -- hundreds of
 //     MB at 10^6 hosts); the transit-core APSP is constant in host count
 //     (T^2, under half a MB even at paper scale) and stays exact. Landmark
-//     mode replaces each domain's APSP with `intra_landmarks` exact
+//     mode replaces each domain's APSP with kIntraLandmarks exact
 //     distance columns (one Dijkstra per landmark; the gateway is always
-//     landmark 0), so per-host storage drops from ns to intra_landmarks
+//     landmark 0), so per-host storage drops from ns to kIntraLandmarks
 //     doubles. Cross-domain delay is then EXACT -- host->gateway legs come
 //     from column 0 and the core+gateway-edge legs were never approximated.
 //     Same-domain delay uses ALT-style triangle-inequality bounds over the
@@ -73,6 +73,11 @@ inline constexpr double kIntraTransitChordProb = 0.5;
 inline constexpr double kInterTransitChordProb = 0.5;
 inline constexpr double kIntraStubChordProb = 0.3;
 
+// Per-stub-domain landmark count under kLandmark (clamped to the domain
+// size; landmark 0 is always the gateway).
+inline constexpr int kIntraLandmarks = 4;
+static_assert(kIntraLandmarks >= 1, "the gateway is always a landmark");
+
 struct TopologyParams {
   int transit_domains = 12;
   int transit_nodes_per_domain = 20;
@@ -80,9 +85,6 @@ struct TopologyParams {
   int nodes_per_stub_domain = 16;
 
   DelayModel delay_model = DelayModel::kHierarchical;
-  // Per-stub-domain landmark count under kLandmark (clamped to the domain
-  // size; landmark 0 is always the gateway).
-  int intra_landmarks = 4;
   // The flat validation edge list costs ~24 bytes/edge (~200 MB at 10^6
   // hosts); million-member sweeps switch it off.
   bool keep_flat_edges = true;

@@ -92,8 +92,7 @@ class IncidentLog : public TraceSink {
   std::map<std::string, double> FlatStats() const;
 
   // Exports the same lifecycle counts as registry counters and each phase's
-  // latencies into fixed-bound registry histograms ("incident.phase.*_s"),
-  // so cross-cell aggregation can MergeFrom them.
+  // latencies into fixed-bound registry histograms ("incident.phase.*_s").
   void ExportTo(Registry& reg) const;
 
  private:

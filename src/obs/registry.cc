@@ -112,23 +112,4 @@ std::map<std::string, double> Registry::Flatten() const {
   return out;
 }
 
-void Registry::MergeFrom(const Registry& other) {
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
-  for (const auto& [name, value] : other.gauges_) gauges_[name] = value;
-  for (const auto& [name, hist] : other.histograms_) {
-    const auto it = histograms_.find(name);
-    if (it == histograms_.end())
-      histograms_.emplace(name, hist);
-    else
-      it->second.MergeFrom(hist);
-  }
-  for (const auto& [name, ts] : other.series_) {
-    const auto it = series_.find(name);
-    if (it == series_.end())
-      series_.emplace(name, ts);
-    else
-      it->second.MergeFrom(ts);
-  }
-}
-
 }  // namespace omcast::obs

@@ -14,14 +14,12 @@
 // Thread-compatibility contract (no lock): a Registry is deliberately
 // unsynchronized because it is *cell-confined* -- each runner grid cell
 // builds its own instance on the thread that claimed the cell and only the
-// Flatten()ed value crosses threads, via the cell's pre-assigned result
-// slot. Cross-thread aggregation goes through MergeFrom on a registry the
-// caller owns (after runner::RunGrid has returned), never through sharing
-// one live Registry between threads. Adding a mutex here would buy nothing
-// and put a lock acquisition on every protocol counter bump; the program
-// takes no locks, and the omcast-lint raw-mutex rule keeps src/ that way
-// (cells share only immutable inputs and RunGrid's atomics; the TSan job
-// checks it).
+// Flatten()ed value and the series' points cross threads, via the cell's
+// pre-assigned result slot; no live Registry is ever shared between
+// threads. Adding a mutex here would buy nothing and put a lock acquisition
+// on every protocol counter bump; the program takes no locks, and the
+// omcast-lint raw-mutex rule keeps src/ that way (cells share only
+// immutable inputs and RunGrid's atomics; the TSan job checks it).
 #pragma once
 
 #include <map>
@@ -103,11 +101,6 @@ class Registry {
   // digests: counters and gauges verbatim; each histogram expanded to
   // name.count / .sum / .min / .max / .p50 / .p99.
   std::map<std::string, double> Flatten() const;
-
-  // Folds another registry in: counters add, gauges last-write-wins,
-  // histograms merge (matching names must have matching bounds), and time
-  // series merge (matching names must have matching kind and window).
-  void MergeFrom(const Registry& other);
 
  private:
   std::map<std::string, double> counters_;

@@ -70,21 +70,4 @@ std::vector<TimeSeries::Point> TimeSeries::Points() const {
   return out;
 }
 
-void TimeSeries::MergeFrom(const TimeSeries& other) {
-  util::Check(kind_ == other.kind_,
-              "time series merge requires matching flavors");
-  util::Check(window_s_ == other.window_s_,
-              "time series merge requires matching window widths");
-  for (std::size_t i = 0; i < other.values_.size(); ++i) {
-    if (!other.covered_[i]) continue;
-    const std::size_t slot =
-        Touch(other.first_window_ + static_cast<long>(i));
-    if (kind_ == Kind::kCounterRate)
-      values_[slot] += other.values_[i];
-    else
-      values_[slot] = other.values_[i];
-    covered_[slot] = 1;
-  }
-}
-
 }  // namespace omcast::obs

@@ -22,8 +22,8 @@
 // through the runner's per-cell `timeseries` block).
 //
 // Thread-compatibility: cell-confined and unsynchronized, exactly like
-// obs::Registry (one instance per runner grid cell, merged across cells
-// only through MergeFrom after runner::RunGrid has returned).
+// obs::Registry (one instance per runner grid cell; only its Points()
+// leave the cell, through the cell's result).
 #pragma once
 
 #include <vector>
@@ -62,12 +62,6 @@ class TimeSeries {
   // counter-rate, carry-forward for gauge). Deterministic byte-for-byte
   // across equal-seed runs.
   std::vector<Point> Points() const;
-
-  // Folds another series in (same kind and window width required):
-  // counter-rate windows add, gauge windows take `other`'s value where
-  // `other` recorded one. Used by Registry::MergeFrom for cross-cell
-  // aggregation after runner::RunGrid has returned.
-  void MergeFrom(const TimeSeries& other);
 
  private:
   long WindowIndex(double t) const;

@@ -22,8 +22,6 @@ HeartbeatService::HeartbeatService(Session& session, HeartbeatParams params,
       rng_(seed),
       fault_plane_(fault_plane) {
   util::Check(params_.period_s > 0.0, "heartbeat period must be positive");
-  util::Check(params_.miss_threshold >= 1,
-              "suspicion needs at least one missed heartbeat");
   if (fault_plane_ == nullptr) session_.tree().SetEdgeObserver(this);
   session_.hooks().AddOnAttached([this](NodeId id, NodeId) {
     StartSender(id);

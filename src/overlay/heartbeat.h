@@ -4,14 +4,14 @@
 // parent's death exactly rejoin_delay_s after it happens. This service
 // replaces the oracle with the mechanism a deployment would run: every
 // member sends a heartbeat to each of its current children every period;
-// a child that goes miss_threshold + 1 periods without hearing from its
+// a child that goes kMissThreshold + 1 periods without hearing from its
 // current parent declares the parent dead and re-enters the join path.
 //
 // Heartbeats travel through a sim::FaultPlane when one is installed, so
 // message loss produces the two real failure modes the oracle hides:
 //
 //   * detection latency is a random variable (lost heartbeats stretch it
-//     beyond the no-loss bound of (miss_threshold + 1) * period_s);
+//     beyond the no-loss bound of (kMissThreshold + 1) * period_s);
 //   * false suspicion: enough consecutive losses convince a child its
 //     *live* parent died; it detaches and rejoins (counted, and charged as
 //     a reconnection, i.e. protocol overhead -- the stream did not stop).
@@ -73,11 +73,14 @@
 
 namespace omcast::overlay {
 
+// A child suspects its parent after this many *consecutive* heartbeats fail
+// to arrive (deadline: (kMissThreshold + 1) * period_s of silence).
+inline constexpr int kMissThreshold = 3;
+static_assert(kMissThreshold >= 1,
+              "suspicion needs at least one missed heartbeat");
+
 struct HeartbeatParams {
   double period_s = 1.0;  // heartbeat send period, per parent
-  // A child suspects its parent after this many *consecutive* heartbeats
-  // fail to arrive (deadline: (miss_threshold + 1) * period_s of silence).
-  int miss_threshold = 3;
 };
 
 class HeartbeatService : private EdgeObserver {
@@ -94,7 +97,7 @@ class HeartbeatService : private EdgeObserver {
 
   // Silence length that triggers suspicion.
   double SuspicionTimeout() const {
-    return params_.period_s * (params_.miss_threshold + 1);
+    return params_.period_s * (kMissThreshold + 1);
   }
 
   // When `child` suspects its parent unless another beat lands first: its

@@ -4,7 +4,6 @@
 
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/log.h"
 
 namespace omcast::overlay {
 
@@ -43,10 +42,28 @@ void SessionHooks::FireMemberDeparted(const Member& member) const {
 
 namespace {
 
-// TryJoin's retry backoff cap (in units of join_retry_delay_s), and the
-// failed attempts after which a stuck fragment root releases its children.
+// A failed join retries after kJoinRetryDelayS times a backoff that doubles
+// per failed attempt: up to kJoinRetryMaxBackoff for TryJoin, up to
+// kReentryBackoffCap for a re-entry. After kFragmentDissolveAfterAttempts
+// failed attempts a stuck fragment root releases its children.
+constexpr double kJoinRetryDelayS = 1.0;
 constexpr int kJoinRetryMaxBackoff = 8;
 constexpr int kFragmentDissolveAfterAttempts = 3;
+// A re-entry (ScheduleReentry) makes at most this many join attempts before
+// abandoning: unlike a fresh join, a returning viewer gives up and leaves
+// for good when the overlay repeatedly refuses it.
+constexpr int kReentryMaxAttempts = 6;
+constexpr int kReentryBackoffCap = 16;
+
+// How long the broadcast has been running before t=0. Pre-populated ages are
+// drawn from the stationary renewal distribution *truncated* at this
+// horizon: a live-streaming session is hours old, not infinitely old, and
+// with the heavy-tailed lifetime distribution an untruncated stationary
+// state is dominated by members aged 10^5..10^6 s, which collapses any
+// bandwidth-time trade-off into pure time ordering. Six hours matches the
+// horizon of the paper's own experiments (Figs. 6/9 span 300+ minutes of
+// steady state).
+constexpr double kPrepopulateAgeHorizonS = 21600.0;
 
 // Root host is drawn first so the tree root is a random stub node, as in the
 // paper ("the server's location is fixed at a randomly chosen stub node").
@@ -64,17 +81,8 @@ void ValidateSessionParams(const SessionParams& params) {
               "the source must be able to feed at least one child");
   util::Check(params.candidate_sample_size >= 1,
               "joining needs at least one discovery candidate");
-  util::Check(params.join_retry_delay_s > 0.0,
-              "join retry delay must be positive (zero would busy-loop "
-              "failed joins at one instant)");
   util::Check(params.rejoin_delay_s >= 0.0,
               "rejoin delay must be non-negative");
-  util::Check(params.prepopulate_age_horizon_s >= 0.0,
-              "pre-population age horizon must be non-negative");
-  util::Check(params.reentry_max_attempts >= 1,
-              "re-entry needs at least one join attempt");
-  util::Check(params.reentry_backoff_cap >= 1,
-              "re-entry backoff cap must be at least 1x the base delay");
 }
 
 Session::Session(sim::Simulator& simulator, const net::Topology& topology,
@@ -156,10 +164,8 @@ void Session::Prepopulate(int count) {
     for (int attempt = 0; attempt < 256; ++attempt) {
       biased_lifetime = rng_.Lognormal(mu + sigma * sigma, sigma);
       age = rng_.Uniform(0.0, 1.0) * biased_lifetime;
-      if (params_.prepopulate_age_horizon_s <= 0.0 ||
-          age <= params_.prepopulate_age_horizon_s)
-        break;
-      age = params_.prepopulate_age_horizon_s;  // clamp if rejection fails
+      if (age <= kPrepopulateAgeHorizonS) break;
+      age = kPrepopulateAgeHorizonS;  // clamp if rejection fails
     }
     const double bandwidth = kMemberBandwidthDist.Sample(rng_);
     ids.push_back(CreateMemberRecord(bandwidth, biased_lifetime, -age));
@@ -207,7 +213,6 @@ void Session::Prepopulate(int count) {
       return false;
     return attach_now(by_capacity[strongest]);
   };
-  int stragglers = 0;
   for (NodeId id : ids) {
     if (tree_.Parent(id) != kNoNode) continue;  // already injected
     // Keep the replay out of capacity ruin: attaching `id` must leave at
@@ -215,13 +220,8 @@ void Session::Prepopulate(int count) {
     const long need = std::max<long>(1, 2 - tree_.Capacity(id));
     while (spare < need && inject_strongest(id)) {
     }
-    if (spare < 1 || !attach_now(id)) {
-      ++stragglers;
-      TryJoin(id);
-    }
+    if (spare < 1 || !attach_now(id)) TryJoin(id);
   }
-  util::LogInfo("prepopulated " + std::to_string(count) + " members (" +
-                std::to_string(stragglers) + " awaiting capacity)");
 }
 
 void Session::StartArrivals(double rate_per_s) {
@@ -297,7 +297,7 @@ void Session::TryJoin(NodeId id) {
   // Guarded: with an external failure detector a second join path
   // (RejoinOrphan) can attach the member while this retry is in flight.
   sim_.ScheduleAfter(
-      params_.join_retry_delay_s * backoff,
+      kJoinRetryDelayS * backoff,
       [this, id] {
         if (tree_.Alive(id) && tree_.Parent(id) == kNoNode) TryJoin(id);
       },
@@ -466,7 +466,7 @@ void Session::ReentryAttempt(NodeId id, NodeId predecessor) {
   }
   ++failed_join_attempts_;
   join_attempts_[static_cast<std::size_t>(id)] = attempt;
-  if (attempt >= params_.reentry_max_attempts) {
+  if (attempt >= kReentryMaxAttempts) {
     // A returning viewer that the overlay keeps refusing leaves for good --
     // the bounded analog of TryJoin's unbounded persistence.
     ++reentries_abandoned_;
@@ -477,9 +477,9 @@ void Session::ReentryAttempt(NodeId id, NodeId predecessor) {
     return;
   }
   const int backoff =
-      std::min(1 << std::min(attempt - 1, 10), params_.reentry_backoff_cap);
+      std::min(1 << std::min(attempt - 1, 10), kReentryBackoffCap);
   sim_.ScheduleAfter(
-      params_.join_retry_delay_s * backoff,
+      kJoinRetryDelayS * backoff,
       [this, id, predecessor] { ReentryAttempt(id, predecessor); },
       "session.reentry_retry");
 }

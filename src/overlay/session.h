@@ -10,9 +10,10 @@
 //
 // Steady state is reached by *equilibrium pre-population*: the session can
 // start with M members whose (age, residual lifetime) pairs are drawn from
-// the stationary renewal distribution (length-biased lifetime L~, age U*L~),
-// so population and age mix are immediately stationary instead of needing
-// ~100k simulated seconds for the heavy-tailed lifetime mix to converge.
+// the stationary renewal distribution (length-biased lifetime L~, age U*L~)
+// truncated at a six-hour broadcast history, so population and age mix are
+// immediately stationary instead of needing ~100k simulated seconds for the
+// heavy-tailed lifetime mix to converge.
 #pragma once
 
 #include <functional>
@@ -61,7 +62,7 @@ class Protocol {
 
   // Attempts to place `id` (a fresh member or an orphaned fragment root)
   // into the tree; returns true when attached. On false the session retries
-  // after params().join_retry_delay_s.
+  // after a backoff (session.cc's join-retry constants).
   virtual bool TryAttach(Session& session, NodeId id) = 0;
 
   // Called after `id` was successfully attached (fresh join, rejoin, or
@@ -108,34 +109,17 @@ struct SessionParams {
   // How many members a (re)joining node discovers via gossip (Section 3.3
   // uses "say, 100").
   int candidate_sample_size = 100;
-  double join_retry_delay_s = 1.0;
   // Time between a parent failure and the orphan's first join attempt
   // (failure detection + parent re-finding). The structural experiments use
   // 0 (instant rejoin, as in the paper's tree-level study); the
   // packet-level simulator sets the paper's 15 s so the data-plane hole is
   // physically present in the tree.
   double rejoin_delay_s = 0.0;
-  // How long the broadcast has been running before t=0. Pre-populated ages
-  // are drawn from the stationary renewal distribution *truncated* at this
-  // horizon: a live-streaming session is hours old, not infinitely old, and
-  // with the heavy-tailed lifetime distribution an untruncated stationary
-  // state is dominated by members aged 10^5..10^6 s, which collapses any
-  // bandwidth-time trade-off into pure time ordering. Six hours matches the
-  // horizon of the paper's own experiments (Figs. 6/9 span 300+ minutes of
-  // steady state). Set to 0 for the unbounded stationary state.
-  double prepopulate_age_horizon_s = 21600.0;
   // When true, the session does not schedule orphan rejoins itself: an
   // external failure detector (overlay/heartbeat.h) observes the silence,
   // declares the parent dead, and calls RejoinOrphan(). Replaces the fixed
   // rejoin_delay_s oracle with real detection latency under message loss.
   bool external_failure_detection = false;
-  // Re-entry (ScheduleReentry) retries a returning member's join at most
-  // this many times before abandoning it: unlike a fresh join, a returning
-  // viewer gives up and leaves for good when the overlay repeatedly refuses
-  // it. Retries back off exponentially (base join_retry_delay_s) up to
-  // reentry_backoff_cap times the base delay.
-  int reentry_max_attempts = 6;
-  int reentry_backoff_cap = 16;
 };
 
 // Every member's bandwidth and lifetime come from the paper's workload
@@ -145,8 +129,9 @@ inline const rnd::BoundedPareto kMemberBandwidthDist =
 inline const rnd::LognormalDist kMemberLifetimeDist = rnd::PaperLifetimeDist();
 
 // Aborts unless the parameter combination is self-consistent (a root that
-// can feed at least one child, positive delays, sane retry/backoff
-// bounds). Called by the Session constructor; exposed for tests.
+// can feed at least one child, at least one discovery candidate, a
+// non-negative rejoin delay). Called by the Session constructor; exposed
+// for tests.
 void ValidateSessionParams(const SessionParams& params);
 
 // Observation points for metrics collectors and the streaming layer.
@@ -283,8 +268,8 @@ class Session {
   // Models a departed-then-returning viewer: after `downtime_s`, a successor
   // member re-enters with `departed`'s bandwidth (the same household, a new
   // session) and lifetime `lifetime_s`, joining through the BOUNDED-retry
-  // re-entry path -- at most params().reentry_max_attempts tries with
-  // exponential backoff, then the member abandons and departs. The trace bus
+  // re-entry path -- a bounded number of tries with exponential backoff
+  // (session.cc's re-entry constants), then the member abandons and departs. The trace bus
   // sees kReconnectStart at re-entry, then kReconnectAttached or
   // kReconnectAbandoned (detail = attempts used). `departed` may still be
   // alive at call time (e.g. scheduling a return around a planned kill); the

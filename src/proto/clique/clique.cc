@@ -18,18 +18,12 @@ using overlay::Tree;
 void ValidateCliqueParams(const CliqueParams& params) {
   util::Check(params.max_cluster_size >= 2,
               "a cluster must hold its delegate plus at least one leaf");
-  util::Check(params.min_cluster_size >= 1,
-              "the minimum cluster size must be positive");
-  util::Check(params.min_cluster_size <= params.max_cluster_size,
-              "cluster size bounds must be ordered (min <= max)");
   util::Check(params.election_period_s > 0.0,
               "the election period must be positive (zero would busy-loop "
               "maintenance rounds at one instant)");
   util::Check(params.promotion_timeout_s > 0.0,
               "the promotion timeout must be positive (an instant timeout "
               "would dissolve every cluster before its successor can root)");
-  util::Check(params.stability_margin >= 0.0,
-              "the stability margin must be non-negative");
 }
 
 CliqueProtocol::CliqueProtocol(CliqueParams params) : params_(params) {
@@ -352,7 +346,7 @@ void CliqueProtocol::RunElection(Session& session) {
     // An undersized clique dissolves administratively -- but only when some
     // other active clique has room, so a tiny population cannot livelock
     // forming and disbanding its only cluster.
-    if (static_cast<int>(c.members.size()) < params_.min_cluster_size) {
+    if (static_cast<int>(c.members.size()) < kMinClusterSize) {
       bool other_has_room = false;
       for (std::size_t j = 0; j < clusters_.size(); ++j) {
         if (j == i || !clusters_[j].active) continue;
@@ -379,7 +373,7 @@ void CliqueProtocol::RunElection(Session& session) {
         if (!tree.Alive(m)) continue;
         if (tree.SpareCapacity(m) < 1) continue;
         if (static_cast<double>(tree.Capacity(m)) <
-            static_cast<double>(tree.Capacity(seat)) + params_.stability_margin)
+            static_cast<double>(tree.Capacity(seat)) + kStabilityMargin)
           continue;
         if (challenger == kNoNode) {
           challenger = m;

@@ -25,7 +25,7 @@
 //     dissolves and its members re-disperse through the fresh-join path.
 //
 // A periodic election round keeps delegates stable-and-strong: a direct
-// child whose outdegree beats the incumbent's by stability_margin swaps
+// child whose outdegree beats the incumbent's by kStabilityMargin swaps
 // positions with it (an atomic parent-child swap in the style of ROST's
 // PerformSwitch, but announcement-based -- no lock-lease handshake, which
 // is exactly the CliqueStream argument: localized recovery needs no
@@ -52,27 +52,31 @@ class Registry;
 
 namespace omcast::proto {
 
+// A cluster below this size dissolves at election time (when another active
+// cluster has room to eventually absorb its members).
+inline constexpr int kMinClusterSize = 2;
+// A challenger replaces a live delegate only when its outdegree exceeds the
+// incumbent's by at least this margin (hysteresis against seat thrashing
+// between near-equal members).
+inline constexpr double kStabilityMargin = 1.0;
+static_assert(kMinClusterSize >= 1 && kMinClusterSize <= 2,
+              "every valid max_cluster_size (>= 2) must admit the minimum");
+static_assert(kStabilityMargin >= 0.0,
+              "the stability margin must be non-negative");
+
 struct CliqueParams {
-  // Cluster population bounds: a cluster admits new members while below
-  // max_cluster_size; one below min_cluster_size dissolves at election time
-  // (when another active cluster has room to eventually absorb its
-  // members).
+  // A cluster admits new members while below this size.
   int max_cluster_size = 12;
-  int min_cluster_size = 2;
   // Period of the per-cluster election/maintenance round.
   double election_period_s = 60.0;
   // How long a promoted successor may stay unrooted before its cluster
   // gives up on succession and dissolves.
   double promotion_timeout_s = 30.0;
-  // A challenger replaces a live delegate only when its outdegree exceeds
-  // the incumbent's by at least this margin (hysteresis against seat
-  // thrashing between near-equal members).
-  double stability_margin = 1.0;
 };
 
-// Aborts unless the parameter combination is self-consistent (cluster size
-// bounds ordered, positive periods/timeouts). Called by the constructor;
-// exposed for tests.
+// Aborts unless the parameter combination is self-consistent (room for a
+// delegate plus a leaf, positive periods/timeouts). Called by the
+// constructor; exposed for tests.
 void ValidateCliqueParams(const CliqueParams& params);
 
 class CliqueProtocol final : public overlay::Protocol {

@@ -86,7 +86,8 @@ struct GridSpec {
   std::vector<std::string> rows;
   std::vector<std::string> cols;
   int reps = 1;
-  // Metric the bench trajectory tracks for this figure (bench_summary.json).
+  // Metric the bench trajectory tracks for this figure: written to the
+  // results file, where scripts/check_bench_regression.py reads it.
   std::string headline_metric;
   std::function<CellResult(const CellContext&)> run;
 

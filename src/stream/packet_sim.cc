@@ -13,6 +13,8 @@ using overlay::Member;
 using overlay::NodeId;
 using overlay::Session;
 
+static_assert(kGopSize >= 2,
+              "a GOP needs a reference and at least one dependent frame");
 static_assert(kRegimeWindowS > 0.0, "regime judgment window must be positive");
 static_assert(kDegradedExit >= 0.0 && kDegradedExit < kDegradedEnter,
               "degraded hysteresis needs 0 <= exit < enter");
@@ -31,8 +33,6 @@ void ValidatePacketSimParams(const PacketSimParams& params) {
               "residual bandwidth cannot be negative");
   util::Check(params.residual_hi_pkts >= params.residual_lo_pkts,
               "residual bandwidth range must be ordered");
-  util::Check(params.gop_size >= 2,
-              "a GOP needs a reference and at least one dependent frame");
   util::Check(params.warmup_absorb_s >= 0.0,
               "warmup absorb window cannot be negative");
 }
@@ -134,7 +134,7 @@ void PacketLevelStream::JudgeWindow(NodeId member) {
   Playback& pb = rx.playback;
   pb.tick = sim::kInvalidEventId;
   const double now = session_.simulator().now();
-  const std::int64_t gop = params_.gop_size;
+  const std::int64_t gop = kGopSize;
   long judged = 0;
   long bad = 0;
   long stalls = 0;

@@ -55,7 +55,7 @@ struct PacketSimParams {
   double residual_hi_pkts = core::kPaperResidualHiPkts;
 
   // --- frame-dependency playback (degraded-regime model) -------------------
-  // When on, packets form GOPs: seq % gop_size == 0 is a reference frame,
+  // When on, packets form GOPs: seq % kGopSize == 0 is a reference frame,
   // the rest of the GOP depends on it. A dependent frame that arrives by
   // its deadline but whose reference did not is a DECODE STALL -- distinct
   // from packet loss, and exactly what a rejoining member landing mid-GOP
@@ -64,13 +64,14 @@ struct PacketSimParams {
   // regime machine with hysteresis. Enabling this adds NO RNG draws, so
   // fault schedules and protocol digests are unchanged when it is off.
   bool frame_playback = false;
-  int gop_size = 10;
   // Startup grace: decode stalls whose deadline falls within this many
   // seconds of the member's first reception are absorbed (not counted, not
   // traced) -- a joiner is expected to stall until its first reference.
   double warmup_absorb_s = 2.0;
 };
 
+// Frames per GOP under frame playback: one reference plus its dependents.
+inline constexpr int kGopSize = 10;
 // Frame-playback judgment window length (also the tick period of the
 // per-member chain).
 inline constexpr double kRegimeWindowS = 1.0;

@@ -1,25 +1,13 @@
-// Leveled logging to stderr. The simulator is quiet by default (kWarn);
-// examples raise the level to narrate protocol activity.
+// Log levels. The simulator logs nothing, so setting a level does nothing.
+// LogLevel and SetLogLevel remain because the host-cost benchmark
+// (perfbench/main.cc) calls SetLogLevel(kWarn).
 #pragma once
-
-#include <string>
 
 namespace omcast::util {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-// Sets the global minimum level; messages below it are dropped.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-// Emits `msg` if `level` >= the global minimum. Thread-safe: the level is
-// atomic and each message is one fprintf call, so the experiment runner's
-// worker threads may log concurrently (lines never interleave mid-line).
-void Log(LogLevel level, const std::string& msg);
-
-void LogDebug(const std::string& msg);
-void LogInfo(const std::string& msg);
-void LogWarn(const std::string& msg);
-void LogError(const std::string& msg);
+// Does nothing.
+inline void SetLogLevel(LogLevel /*level*/) {}
 
 }  // namespace omcast::util

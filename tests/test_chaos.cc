@@ -100,8 +100,6 @@ TEST_F(LeasePathTest, HandshakeOverCleanPlaneCompletesTheSwitch) {
 TEST_F(LeasePathTest, LostRequestsTimeOutBackOffAndEventuallySucceed) {
   RostParams p;
   p.switching_interval_s = 100.0;
-  p.lock_request_timeout_s = 2.0;
-  p.lock_retry_delay_s = 15.0;
   auto s = Make(p);
   BuildChain(*s);
   // Sever child -> parent: the lock request to the parent never arrives,
@@ -129,7 +127,6 @@ TEST_F(LeasePathTest, LostRequestsTimeOutBackOffAndEventuallySucceed) {
 TEST_F(LeasePathTest, DeadInitiatorsLeasesExpireInsteadOfWedging) {
   RostParams p;
   p.switching_interval_s = 1e8;  // manual triggering only
-  p.lock_lease_s = 10.0;
   auto s = Make(p);
   BuildChain(*s);
   sim_.RunUntil(50.0);
@@ -139,7 +136,7 @@ TEST_F(LeasePathTest, DeadInitiatorsLeasesExpireInsteadOfWedging) {
   rost_->CheckSwitchNow(*s, child_);
   s->DepartNow(child_);
   EXPECT_GE(rost_->leases_granted(), 1);  // at least the self lease
-  sim_.RunUntil(sim_.now() + p.lock_lease_s + 1.0);
+  sim_.RunUntil(sim_.now() + core::kLockLeaseS + 1.0);
   EXPECT_EQ(rost_->switches_performed(), 0);
   EXPECT_EQ(rost_->leases_outstanding(), 0);  // all reaped by expiry
   EXPECT_GE(rost_->leases_expired(), 1);

@@ -415,8 +415,8 @@ class HeartbeatDifferentialTest : public HeartbeatTest {
       EXPECT_EQ(closed.deadlines, events.deadlines);
       EXPECT_EQ(closed.final_parents, events.final_parents);
       EXPECT_GT(events.sent, 0);
-      SameInstantSuspicions(closed, sc.heartbeat.period_s *
-                                        (sc.heartbeat.miss_threshold + 1));
+      SameInstantSuspicions(closed,
+                            sc.heartbeat.period_s * (kMissThreshold + 1));
       runs.push_back(closed);
     }
     return runs;
@@ -482,15 +482,13 @@ TEST_F(HeartbeatDifferentialTest, EvictionsAndSwapsOfEveryProtocolAgree) {
   }
 }
 
-TEST_F(HeartbeatDifferentialTest,
-       OneMissWithAPeriodUnderAHopSuspectsLiveParents) {
+TEST_F(HeartbeatDifferentialTest, ADeadlineUnderAHopSuspectsLiveParents) {
   DiffScenario sc;
-  // A 4 ms period under the tiny topology's hops, and a deadline of two
-  // periods: a child whose parent's first beat lands after it suspects the
-  // live parent, rejoins, and often lands under the same parent again while
-  // that parent's earlier beats are still in flight.
-  sc.heartbeat.period_s = 0.004;
-  sc.heartbeat.miss_threshold = 1;
+  // A 2 ms period, so an 8 ms deadline (kMissThreshold + 1 periods) under
+  // the tiny topology's hops: a child whose parent's first beat lands after
+  // it suspects the live parent, rejoins, and often lands under the same
+  // parent again while that parent's earlier beats are still in flight.
+  sc.heartbeat.period_s = 0.002;
   sc.population = 50;
   sc.span_s = 12.0;
   for (const DiffRun& run : ExpectPathsAgree(sc, {9, 10}))

@@ -7,7 +7,6 @@
 #include "net/topology.h"
 #include "proto/min_depth.h"
 #include "sim/simulator.h"
-#include "util/log.h"
 
 namespace omcast::metrics {
 namespace {
@@ -125,18 +124,6 @@ TEST_F(MetricsTest, MemberTraceStopsAtDeparture) {
   sim_.RunUntil(100.0);
   // Samples only until the member departed at t=31.
   for (const auto& p : trace.delay_series()) EXPECT_LE(p.t, 31.0 + 1e-9);
-}
-
-TEST(LogTest, LevelsFilter) {
-  using util::LogLevel;
-  util::SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(util::GetLogLevel(), LogLevel::kError);
-  // Emitting below the level is a no-op (smoke: must not crash).
-  util::LogDebug("dropped");
-  util::LogInfo("dropped");
-  util::LogWarn("dropped");
-  util::LogError("printed to stderr");
-  util::SetLogLevel(LogLevel::kWarn);  // restore default
 }
 
 }  // namespace

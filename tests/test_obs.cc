@@ -163,24 +163,6 @@ TEST(Registry, FlattenExpandsHistogramsDeterministically) {
   EXPECT_TRUE(flat.contains("c.hist.p99"));
 }
 
-TEST(Registry, MergeAddsCountersOverwritesGaugesMergesHistograms) {
-  Registry a, b;
-  a.Count("c", 1.0);
-  b.Count("c", 2.0);
-  b.Count("only_b", 5.0);
-  a.SetGauge("g", 1.0);
-  b.SetGauge("g", 9.0);
-  a.Observe("h", {1.0}, 0.5);
-  b.Observe("h", {1.0}, 2.5);
-  b.Observe("h2", {4.0}, 3.0);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.CounterValue("c"), 3.0);
-  EXPECT_EQ(a.CounterValue("only_b"), 5.0);
-  EXPECT_EQ(a.gauges().at("g"), 9.0);
-  EXPECT_EQ(a.histograms().at("h").count(), 2);
-  EXPECT_EQ(a.histograms().at("h2").count(), 1);
-}
-
 // ---------------------------------------------------------------------------
 // TimeSeries (the recovery-curve substrate of results schema v3)
 // ---------------------------------------------------------------------------
@@ -253,32 +235,8 @@ TEST(TimeSeriesTest, ZeroDeltaStillMarksCoverage) {
   EXPECT_EQ(points[3].value, 0.0);
 }
 
-TEST(TimeSeriesTest, MergeAddsCounterWindowsAndOverlaysGaugeWindows) {
-  TimeSeries a(TimeSeries::Kind::kCounterRate, 1.0);
-  TimeSeries b(TimeSeries::Kind::kCounterRate, 1.0);
-  a.AddDelta(0.5, 1.0);
-  b.AddDelta(0.5, 2.0);
-  b.AddDelta(2.5, 5.0);
-  a.MergeFrom(b);
-  const std::vector<TimeSeries::Point> merged = a.Points();
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].value, 3.0);  // overlapping counter windows add
-  EXPECT_EQ(merged[2].value, 5.0);  // b-only window adopted
-
-  TimeSeries ga(TimeSeries::Kind::kGauge, 1.0);
-  TimeSeries gb(TimeSeries::Kind::kGauge, 1.0);
-  ga.Sample(0.5, 10.0);
-  ga.Sample(1.5, 11.0);
-  gb.Sample(1.5, 99.0);  // covered in gb: takes precedence on merge
-  ga.MergeFrom(gb);
-  const std::vector<TimeSeries::Point> gauge = ga.Points();
-  ASSERT_EQ(gauge.size(), 2u);
-  EXPECT_EQ(gauge[0].value, 10.0);  // gb never covered window 0: kept
-  EXPECT_EQ(gauge[1].value, 99.0);
-}
-
-TEST(TimeSeriesTest, RegistrySeriesFirstRegistrationWinsAndMerges) {
-  Registry a, b;
+TEST(TimeSeriesTest, RegistrySeriesFirstRegistrationWinsOutsideFlatten) {
+  Registry a;
   TimeSeries& s = a.Series("recovery.x", TimeSeries::Kind::kGauge, 5.0);
   TimeSeries& again =
       a.Series("recovery.x", TimeSeries::Kind::kCounterRate, 99.0);
@@ -287,13 +245,7 @@ TEST(TimeSeriesTest, RegistrySeriesFirstRegistrationWinsAndMerges) {
   EXPECT_EQ(again.window_s(), 5.0);
 
   s.Sample(2.0, 4.0);
-  b.Series("recovery.x", TimeSeries::Kind::kGauge, 5.0).Sample(7.0, 9.0);
-  b.Series("recovery.only_b", TimeSeries::Kind::kCounterRate, 1.0)
-      .AddDelta(0.0, 1.0);
-  a.MergeFrom(b);
-  ASSERT_EQ(a.series().size(), 2u);
-  EXPECT_EQ(a.series().at("recovery.x").Points().size(), 2u);
-  EXPECT_EQ(a.series().at("recovery.only_b").Points().size(), 1u);
+  ASSERT_EQ(a.series().size(), 1u);
   // Series are exported through the per-cell timeseries block, never the
   // flat registry snapshot.
   EXPECT_TRUE(a.Flatten().empty());

@@ -26,10 +26,6 @@ TEST(SessionParamsDeathTest, RejectsNonsense) {
   blind.candidate_sample_size = 0;
   EXPECT_DEATH(overlay::ValidateSessionParams(blind), "CHECK failed");
 
-  overlay::SessionParams busy;
-  busy.join_retry_delay_s = 0.0;  // would busy-loop failed joins
-  EXPECT_DEATH(overlay::ValidateSessionParams(busy), "CHECK failed");
-
   overlay::SessionParams timewarp;
   timewarp.rejoin_delay_s = -1.0;
   EXPECT_DEATH(overlay::ValidateSessionParams(timewarp), "CHECK failed");
@@ -77,34 +73,12 @@ TEST(RostParamsDeathTest, RejectsNonsense) {
   core::RostParams p;
   p.switching_interval_s = 0.0;
   EXPECT_DEATH(core::RostProtocol{p}, "CHECK failed");
-
-  core::RostParams no_retry;
-  no_retry.lock_retry_delay_s = 0.0;
-  EXPECT_DEATH(core::RostProtocol{no_retry}, "CHECK failed");
-
-  // A lease no longer than the request timeout would expire before a
-  // just-in-time grant could cover the swap.
-  core::RostParams short_lease;
-  short_lease.lock_lease_s = short_lease.lock_request_timeout_s;
-  EXPECT_DEATH(core::RostProtocol{short_lease}, "CHECK failed");
-
-  core::RostParams no_backoff;
-  no_backoff.lock_retry_max_backoff = 0;
-  EXPECT_DEATH(core::RostProtocol{no_backoff}, "CHECK failed");
 }
 
 TEST(CliqueParamsDeathTest, RejectsNonsense) {
   proto::CliqueParams solo;
   solo.max_cluster_size = 1;  // a delegate with no room for any leaf
   EXPECT_DEATH(proto::CliqueProtocol{solo}, "CHECK failed");
-
-  proto::CliqueParams inverted;
-  inverted.min_cluster_size = inverted.max_cluster_size + 1;
-  EXPECT_DEATH(proto::CliqueProtocol{inverted}, "CHECK failed");
-
-  proto::CliqueParams empty;
-  empty.min_cluster_size = 0;
-  EXPECT_DEATH(proto::CliqueProtocol{empty}, "CHECK failed");
 
   proto::CliqueParams busy;
   busy.election_period_s = 0.0;  // would busy-loop maintenance rounds
@@ -113,10 +87,6 @@ TEST(CliqueParamsDeathTest, RejectsNonsense) {
   proto::CliqueParams impatient;
   impatient.promotion_timeout_s = 0.0;  // dissolves before any claim lands
   EXPECT_DEATH(proto::CliqueProtocol{impatient}, "CHECK failed");
-
-  proto::CliqueParams jittery;
-  jittery.stability_margin = -1.0;
-  EXPECT_DEATH(proto::CliqueProtocol{jittery}, "CHECK failed");
 }
 
 TEST(HeartbeatParamsDeathTest, RejectsNonsense) {
@@ -134,9 +104,6 @@ TEST(HeartbeatParamsDeathTest, RejectsNonsense) {
   overlay::HeartbeatParams silent;
   silent.period_s = 0.0;
   EXPECT_DEATH(make(silent), "CHECK failed");
-  overlay::HeartbeatParams jumpy;
-  jumpy.miss_threshold = 0;
-  EXPECT_DEATH(make(jumpy), "CHECK failed");
 }
 
 }  // namespace

@@ -42,11 +42,10 @@ class ReentryTest : public ::testing::Test {
         net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
   }
 
-  std::unique_ptr<Session> Make(SessionParams sp = {},
-                                std::uint64_t seed = 3) {
+  std::unique_ptr<Session> Make() {
     auto s = std::make_unique<Session>(
-        sim_, *topology_, std::make_unique<proto::MinDepthProtocol>(), sp,
-        seed);
+        sim_, *topology_, std::make_unique<proto::MinDepthProtocol>(),
+        SessionParams{}, /*seed=*/3);
     s->SetTracer(&tracer_);
     return s;
   }
@@ -85,11 +84,7 @@ TEST_F(ReentryTest, SuccessorInheritsBandwidthAndAttaches) {
 }
 
 TEST_F(ReentryTest, BoundedRetryBacksOffExponentiallyThenAbandons) {
-  SessionParams sp;
-  sp.join_retry_delay_s = 1.0;
-  sp.reentry_max_attempts = 4;
-  sp.reentry_backoff_cap = 4;
-  auto s = Make(sp);
+  auto s = Make();
   // A zero-bandwidth member joins the capacity-1 root, departs, and another
   // zero-bandwidth member takes the only slot: the returning successor (also
   // bandwidth 0, inherited) can neither find a slot nor displace anyone, so
@@ -104,14 +99,14 @@ TEST_F(ReentryTest, BoundedRetryBacksOffExponentiallyThenAbandons) {
   ASSERT_EQ(s->tree().Parent(blocker), kRootId);
 
   s->ScheduleReentry(v, /*downtime_s=*/3.0, /*lifetime_s=*/1e9);
-  // Attempts run at t=5, 6, 8, 12: backoff 2^(k-1) capped at 4 times the
-  // 1 s base delay. Just before the fourth (final) attempt the re-entry is
-  // still pending...
-  sim_.RunUntil(11.5);
+  // Attempts run at t=5, 6, 8, 12, 20, 36: backoff 2^(k-1) capped at 16
+  // times the 1 s base delay. Just before the sixth (final) attempt the
+  // re-entry is still pending...
+  sim_.RunUntil(35.5);
   EXPECT_EQ(s->reentries_abandoned(), 0);
   EXPECT_EQ(s->reentries_pending(), 1);
   // ...and just after it the member gave up for good.
-  sim_.RunUntil(12.5);
+  sim_.RunUntil(36.5);
   EXPECT_EQ(s->reentries_abandoned(), 1);
   EXPECT_EQ(s->reentries_attached(), 0);
   EXPECT_EQ(s->reentries_pending(), 0);
@@ -122,7 +117,7 @@ TEST_F(ReentryTest, BoundedRetryBacksOffExponentiallyThenAbandons) {
     return e.kind == obs::EventKind::kReconnectAbandoned;
   });
   ASSERT_NE(it, events.end());
-  EXPECT_EQ(it->detail, 4);  // attempts used
+  EXPECT_EQ(it->detail, 6);  // attempts used
   EXPECT_EQ(CountKind(tracer_, obs::EventKind::kReconnectAttached), 0);
 }
 
@@ -174,7 +169,6 @@ TEST_F(PlaybackTest, MidGopEntryDesyncsThenResyncsOnNextReference) {
   stream::PacketSimParams p;
   p.packet_rate = 5.0;
   p.frame_playback = true;
-  p.gop_size = 10;
   p.warmup_absorb_s = 0.0;  // judge startup stalls instead of absorbing them
   stream::PacketLevelStream stream(*session_, p, 11);
   session_->InjectMember(3.0, 1e9);
@@ -202,7 +196,6 @@ TEST_F(PlaybackTest, WarmupWindowAbsorbsStartupStalls) {
   stream::PacketSimParams p;
   p.packet_rate = 5.0;
   p.frame_playback = true;
-  p.gop_size = 10;
   p.warmup_absorb_s = 30.0;  // covers every startup stall in this run
   stream::PacketLevelStream stream(*session_, p, 11);
   session_->InjectMember(3.0, 1e9);

@@ -141,14 +141,5 @@ TEST_F(RefereeTest, TotalWitnessLossResetsAttestation) {
   EXPECT_NEAR(rost_->referees().VerifiedBandwidth(*session_, a), 2.0, 1e-12);
 }
 
-TEST_F(RefereeTest, RageAndRbwMustExceedOne) {
-  RefereeParams p;
-  p.age_referees = 1;
-  EXPECT_DEATH(RefereeService{p}, "r_age");
-  p.age_referees = 2;
-  p.bw_referees = 0;
-  EXPECT_DEATH(RefereeService{p}, "r_bw");
-}
-
 }  // namespace
 }  // namespace omcast::core

@@ -157,8 +157,6 @@ TEST_F(RostTest, NeverSwitchesAboveRoot) {
 TEST_F(RostTest, LockConflictDefersSwitch) {
   RostParams p;
   p.switching_interval_s = 100.0;
-  p.lock_retry_delay_s = 15.0;
-  p.lock_hold_s = 1e6;  // locks effectively never expire
   auto s = Make(p);
   Tree& tree = s->tree();
   tree.SetCapacity(kRootId, 1);

@@ -63,30 +63,17 @@ TEST_F(SessionDynamicsTest, JoinPoolHasNoDuplicates) {
 }
 
 TEST_F(SessionDynamicsTest, PrepopulateRespectsAgeHorizon) {
-  SessionParams params;
-  params.prepopulate_age_horizon_s = 5000.0;
-  auto s = Make(params);
+  // The session's six-hour broadcast history: no member predates it.
+  constexpr double kAgeHorizonS = 21600.0;
+  auto s = Make();
   s->Prepopulate(80);
   for (NodeId id : s->alive_members()) {
     const Member& m = s->tree().Get(id);
-    EXPECT_LE(m.Age(0.0), 5000.0 + 1e-9);
+    EXPECT_LE(m.Age(0.0), kAgeHorizonS + 1e-9);
     EXPECT_GT(m.Age(0.0), 0.0);
     // Residual lifetime is positive (departures lie in the future).
     EXPECT_GT(m.join_time + m.lifetime, 0.0);
   }
-}
-
-TEST_F(SessionDynamicsTest, PrepopulateUnboundedAgesWhenHorizonZero) {
-  SessionParams params;
-  params.prepopulate_age_horizon_s = 0.0;
-  auto s = Make(params, /*seed=*/3);
-  s->Prepopulate(80);
-  // With the heavy-tailed stationary distribution some members should be
-  // very old (far beyond any realistic bounded horizon).
-  double max_age = 0.0;
-  for (NodeId id : s->alive_members())
-    max_age = std::max(max_age, s->tree().Get(id).Age(0.0));
-  EXPECT_GT(max_age, 50000.0);
 }
 
 TEST_F(SessionDynamicsTest, PrepopulateBootstrapsEvenWithWeakRoot) {

@@ -21,6 +21,14 @@ RAND_RE = re.compile(
     r"\bmrand48\s*\(|\barc4random\b|(?<![:\w.>])\brandom\s*\(\s*\)"
 )
 
+# Standard-library engines, distributions and shuffles: the standard fixes
+# the engines' outputs but not the distributions' or the shuffles'
+# algorithms, so a draw through them belongs to the library, not to this
+# repository. Every draw goes through rnd::Rng's owned engine instead.
+LIBRARY_DRAW_RE = re.compile(
+    r"std::(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine|"
+    r"\w+_distribution|shuffle|sample)\b")
+
 WALLCLOCK_RE = re.compile(
     r"std::chrono::(system_clock|steady_clock|high_resolution_clock)|"
     r"\bgettimeofday\s*\(|\bclock_gettime\s*\(|"
@@ -82,8 +90,9 @@ SEED_CTX_RE = re.compile(r"seed|hash|digest", re.IGNORECASE)
 
 
 @rule("rand",
-      "unseeded randomness (rand/srand/random_device/drand48/...) outside "
-      "src/rand; route through the seeded rnd::Rng substrate")
+      "unseeded randomness (rand/srand/random_device/drand48/...) or a "
+      "standard-library engine, distribution or shuffle outside src/rand; "
+      "route through the seeded rnd::Rng substrate")
 def find_rand(sf: SourceFile):
     if "src/rand" in sf.path.as_posix():
         return []  # the seeded substrate itself
@@ -92,6 +101,10 @@ def find_rand(sf: SourceFile):
         if RAND_RE.search(line):
             hits.append((i, "unseeded randomness; route through rnd::Rng "
                             "(src/rand/rng.h) so runs stay reproducible"))
+        elif LIBRARY_DRAW_RE.search(line):
+            hits.append((i, "standard-library draw; route through rnd::Rng "
+                            "(src/rand/rng.h) so every draw comes from its "
+                            "owned engine"))
     return hits
 
 

@@ -43,9 +43,10 @@ void SessionHooks::FireMemberDeparted(const Member& member) const {
 namespace {
 
 // A failed join retries after kJoinRetryDelayS times a backoff that doubles
-// per failed attempt: up to kJoinRetryMaxBackoff for TryJoin, up to
-// kReentryBackoffCap for a re-entry. After kFragmentDissolveAfterAttempts
-// failed attempts a stuck fragment root releases its children.
+// per failed attempt: up to kJoinRetryMaxBackoff for TryJoin, uncapped for a
+// re-entry, whose attempt limit bounds it (16 after the fifth attempt).
+// After kFragmentDissolveAfterAttempts failed attempts a stuck fragment root
+// releases its children.
 constexpr double kJoinRetryDelayS = 1.0;
 constexpr int kJoinRetryMaxBackoff = 8;
 constexpr int kFragmentDissolveAfterAttempts = 3;
@@ -53,7 +54,9 @@ constexpr int kFragmentDissolveAfterAttempts = 3;
 // abandoning: unlike a fresh join, a returning viewer gives up and leaves
 // for good when the overlay repeatedly refuses it.
 constexpr int kReentryMaxAttempts = 6;
-constexpr int kReentryBackoffCap = 16;
+static_assert(kReentryMaxAttempts - 2 <= 30,
+              "a re-entry's largest backoff, 1 << (kReentryMaxAttempts - 2), "
+              "must fit an int");
 
 // How long the broadcast has been running before t=0. Pre-populated ages are
 // drawn from the stationary renewal distribution *truncated* at this
@@ -476,10 +479,8 @@ void Session::ReentryAttempt(NodeId id, NodeId predecessor) {
     DepartNow(id);
     return;
   }
-  const int backoff =
-      std::min(1 << std::min(attempt - 1, 10), kReentryBackoffCap);
   sim_.ScheduleAfter(
-      kJoinRetryDelayS * backoff,
+      kJoinRetryDelayS * (1 << (attempt - 1)),
       [this, id, predecessor] { ReentryAttempt(id, predecessor); },
       "session.reentry_retry");
 }
@@ -493,20 +494,23 @@ std::vector<NodeId> Session::SampleCandidates(int k, NodeId exclude) {
   // drawing until k tree members are found (bounded so a heavily fragmented
   // overlay cannot loop forever).
   const std::size_t want = static_cast<std::size_t>(k) * 6 + 16;
-  std::vector<NodeId> sample =
-      oracle_ != nullptr
-          ? oracle_->KnownMembers(*this, exclude, static_cast<int>(k) * 6 + 16)
-          : rng_.SampleWithoutReplacementFrom(alive_, want);
   std::vector<NodeId> out;
   out.reserve(static_cast<std::size_t>(k) + 1);
   // The source is known to every member via the bootstrap mechanism.
   out.push_back(kRootId);
-  for (NodeId id : sample) {
-    if (static_cast<int>(out.size()) > k) break;
-    if (!tree_.InTree(id)) continue;
-    if (exclude != kNoNode && tree_.IsInSubtreeOf(id, exclude)) continue;
-    if (!tree_.IsRooted(id)) continue;
-    out.push_back(id);
+  // Keeps rooted members outside `exclude`'s subtree; false once k are kept,
+  // which leaves the rest of the sample unresolved.
+  const auto keep = [&](NodeId id) {
+    if (static_cast<int>(out.size()) > k) return false;
+    if (tree_.IsRootedOutside(id, exclude)) out.push_back(id);
+    return true;
+  };
+  if (oracle_ != nullptr) {
+    for (NodeId id :
+         oracle_->KnownMembers(*this, exclude, static_cast<int>(want)))
+      if (!keep(id)) break;
+  } else {
+    rng_.VisitSampleWithoutReplacementFrom(alive_, want, keep);
   }
   return out;
 }

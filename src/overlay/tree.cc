@@ -184,6 +184,15 @@ bool Tree::IsRooted(NodeId id) const {
   }
 }
 
+bool Tree::IsRootedOutside(NodeId id, NodeId exclude) const {
+  NodeId cur = id;
+  while (cur != exclude && cur != kNoNode) {
+    if (cur == kRootId) return true;
+    cur = Parent(cur);
+  }
+  return false;
+}
+
 NodeId Tree::BranchOf(NodeId id) const {
   if (id == kRootId) return kRootId;
   while (true) {

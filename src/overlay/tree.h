@@ -223,6 +223,11 @@ class Tree {
   // True if walking the parent chain from `id` reaches the root.
   bool IsRooted(NodeId id) const;
 
+  // True if walking the parent chain from `id` reaches the root without
+  // meeting `exclude` (`id` itself included; kNoNode excludes nothing): in
+  // one walk, InTree(id) && !IsInSubtreeOf(id, exclude) && IsRooted(id).
+  bool IsRootedOutside(NodeId id, NodeId exclude) const;
+
   // True if `maybe_ancestor` lies on the parent chain of `id` (inclusive of
   // id itself when equal).
   bool IsInSubtreeOf(NodeId id, NodeId maybe_ancestor) const;

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -12,9 +14,65 @@
 
 namespace omcast::rnd {
 
+// MT19937-64, the engine the C++ standard names std::mt19937_64: the
+// standard fixes its seeding and its output sequence ([rand.eng.mers]), so
+// this one emits exactly std::mt19937_64's outputs for every seed. It exists
+// for speed: libstdc++'s twist branches on data (see Twist in rng.cc).
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed) {
+    x_[0] = seed;
+    for (std::size_t i = 1; i < kWords; ++i)
+      x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+  }
+
+  result_type operator()() {
+    if (next_ == kWords) Refill();
+    result_type z = x_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr std::size_t kWords = 312;
+  static constexpr std::size_t kMiddle = 156;
+
+  // Regenerates all kWords words (the standard's transition), out of line:
+  // it runs once per kWords outputs, and inlining it into every draw site
+  // only grows the hot code around them.
+  void Refill();
+
+  std::array<std::uint64_t, kWords> x_{};
+  std::size_t next_ = kWords;
+};
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
+
+  // Uniform integer in [0, n), n > 0. This is libstdc++'s bounded draw for
+  // a 64-bit engine (Lemire's multiply-shift, rejecting only when the low
+  // word falls below (2^64 - n) mod n), so it returns what
+  // std::uniform_int_distribution returns and consumes the same outputs.
+  std::uint64_t Below(std::uint64_t n) {
+    using Wide = unsigned __int128;
+    Wide product = static_cast<Wide>(engine_()) * n;
+    auto low = static_cast<std::uint64_t>(product);
+    if (low < n) [[unlikely]] {
+      const std::uint64_t threshold = (0 - n) % n;
+      while (low < threshold) {
+        product = static_cast<Wide>(engine_()) * n;
+        low = static_cast<std::uint64_t>(product);
+      }
+    }
+    return static_cast<std::uint64_t>(product >> 64);
+  }
 
   // Uniform double in [lo, hi).
   double Uniform(double lo, double hi) {
@@ -22,15 +80,18 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  // Uniform integer in [lo, hi] inclusive.
+  // Uniform integer in [lo, hi] inclusive. The span is taken in 64-bit
+  // unsigned arithmetic, as libstdc++ takes it.
   int UniformInt(int lo, int hi) {
     util::Check(lo <= hi, "UniformInt: lo <= hi");
-    return std::uniform_int_distribution<int>(lo, hi)(engine_);
+    const auto base = static_cast<std::uint64_t>(lo);
+    return static_cast<int>(
+        base + Below(static_cast<std::uint64_t>(hi) - base + 1));
   }
 
   std::size_t UniformIndex(std::size_t n) {
     util::Check(n > 0, "UniformIndex: n > 0");
-    return std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_);
+    return Below(n);
   }
 
   bool Bernoulli(double p) {
@@ -70,41 +131,52 @@ class Rng {
       Shuffle(v);
       return;
     }
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t j =
-          i + std::uniform_int_distribution<std::size_t>(0, v.size() - 1 - i)(
-                  engine_);
-      std::swap(v[i], v[j]);
-    }
+    for (std::size_t i = 0; i < k; ++i)
+      std::swap(v[i], v[i + Below(v.size() - i)]);
     v.resize(k);
   }
 
   // SampleWithoutReplacement without copying the population: O(k) time and
-  // space instead of O(|v|). Draws the IDENTICAL variate sequence as the
-  // by-value overload -- the partial Fisher-Yates swaps are replayed through
-  // a small override table instead of a mutable copy -- so switching a call
-  // site between the two overloads cannot change any downstream random
-  // draw. The linear override scan is O(k^2) worst case, which beats the
-  // O(|v|) copy whenever k << |v| (candidate sampling at 10^6 members: the
-  // by-value overload copies 8MB per join).
+  // space instead of O(|v|), from the IDENTICAL variate sequence, so a call
+  // site can switch between the overloads without moving any later draw.
   template <typename T>
   std::vector<T> SampleWithoutReplacementFrom(const std::vector<T>& v,
                                               std::size_t k) {
-    if (k >= v.size()) return SampleWithoutReplacement(v, k);
-    // Flat open-addressing override table (index -> displaced value). A
-    // linear override list makes each draw O(i) and the whole call O(k^2),
-    // which at 10^5 members turned join-candidate sampling into the single
-    // hottest function of the entire simulation; hashed overrides keep the
-    // replayed swaps O(1) expected per draw. The table is thread_local,
-    // epoch-stamped scratch: stale cells retire by epoch bump, so a call
-    // allocates and clears nothing at steady state.
-    struct Cell {
-      std::size_t pos = 0;
-      std::uint64_t epoch = 0;
-      T value{};
-    };
-    thread_local std::vector<Cell> cells;
-    thread_local std::uint64_t epoch = 0;
+    std::vector<T> out;
+    out.reserve(std::min(k, v.size()));
+    VisitSampleWithoutReplacementFrom(v, k, [&out](const T& x) {
+      out.push_back(x);
+      return true;
+    });
+    return out;
+  }
+
+  // Hands `visit` the elements SampleWithoutReplacementFrom(v, k) returns,
+  // in order, until `visit` returns false. The elements after that are
+  // never resolved, but their bounded draws are still made, so the engine
+  // ends where the full call leaves it and the caller's next draw does not
+  // depend on where it stopped. `visit` must not sample from any Rng: the
+  // override table below is per-thread scratch.
+  //
+  // The partial Fisher-Yates swaps are replayed through that table instead
+  // of a mutable copy of `v` (candidate sampling at 10^6 members would copy
+  // 8MB per join). It is flat open addressing (index -> displaced value),
+  // so each replayed swap is O(1) expected; it is epoch-stamped, so stale
+  // cells retire by an epoch bump and a call allocates and clears nothing
+  // at steady state.
+  template <typename T, typename Visit>
+  void VisitSampleWithoutReplacementFrom(const std::vector<T>& v,
+                                         std::size_t k, Visit&& visit) {
+    if (k >= v.size()) {
+      std::vector<T> all = SampleWithoutReplacement(v, k);
+      for (const T& x : all)
+        if (!visit(x)) break;
+      return;
+    }
+    using Cell = typename OverrideTable<T>::Cell;
+    OverrideTable<T>& table = OverrideTable<T>::ForThisThread();
+    std::vector<Cell>& cells = table.cells;
+    std::uint64_t& epoch = table.epoch;
     std::size_t cap = cells.size();
     if (cap < 4 * k) {
       cap = 16;
@@ -125,31 +197,45 @@ class Rng {
         pos = (pos + 1) & mask;
       return pos;
     };
-    const auto at = [&](std::size_t idx) -> const T& {
-      const std::size_t pos = slot_of(idx);
-      return cells[pos].epoch == epoch && cells[pos].pos == idx
-                 ? cells[pos].value
-                 : v[idx];
+    const auto held = [&](std::size_t pos, std::size_t idx) -> const T& {
+      return cells[pos].epoch == epoch ? cells[pos].value : v[idx];
     };
-    std::vector<T> out;
-    out.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t j =
-          i + std::uniform_int_distribution<std::size_t>(0, v.size() - 1 - i)(
-                  engine_);
-      out.push_back(at(j));
+    std::size_t i = 0;
+    for (; i < k; ++i) {
+      const std::size_t j = i + Below(v.size() - i);
+      const std::size_t pos_j = slot_of(j);
+      if (!visit(held(pos_j, j))) {
+        ++i;
+        break;
+      }
       // Replay the swap: position j now holds what position i held. Position
-      // i itself is never read again (every later draw lands at index > i).
-      const T displaced = at(i);
-      cells[slot_of(j)] = Cell{j, epoch, displaced};
+      // i itself is never read again (every later draw lands past it).
+      cells[pos_j] = Cell{j, epoch, held(slot_of(i), i)};
     }
-    return out;
+    for (; i < k; ++i) Below(v.size() - i);
   }
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  // VisitSampleWithoutReplacementFrom's scratch: one per thread and element
+  // type, whatever the visitor.
+  template <typename T>
+  struct OverrideTable {
+    struct Cell {
+      std::size_t pos = 0;
+      std::uint64_t epoch = 0;
+      T value{};
+    };
+    static OverrideTable& ForThisThread() {
+      thread_local OverrideTable table;
+      return table;
+    }
+    std::vector<Cell> cells;
+    std::uint64_t epoch = 0;
+  };
+
+  Mt19937_64 engine_;
 };
 
 }  // namespace omcast::rnd

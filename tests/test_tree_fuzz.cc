@@ -116,6 +116,8 @@ TEST_P(TreeFuzzTest, MatchesReferenceModel) {
   Tree tree(0, 4.0);  // root capacity 4 to force real depth
   ReferenceModel ref;
   std::vector<NodeId> alive = {kRootId};
+  int fragment_roots = 0;    // detached members seen at the checkpoints
+  int fragment_members = 0;  // attached members under a detached one
 
   const int kOps = 600;
   for (int op = 0; op < kOps; ++op) {
@@ -201,7 +203,30 @@ TEST_P(TreeFuzzTest, MatchesReferenceModel) {
       EXPECT_EQ(tree.SharedPathEdges(a, b), ref.SharedPathEdges(a, b))
           << a << " vs " << b;
     }
+    // IsRootedOutside is join-candidate filtering's three walks in one, for
+    // every (member, exclude) pair: exclude ranges over kNoNode, the root,
+    // rooted members, fragment roots and members inside fragments.
+    std::vector<NodeId> members = {kRootId};
+    for (const auto& [node, parent] : ref.parents()) {
+      members.push_back(node);
+      if (parent == kNoNode)
+        ++fragment_roots;
+      else if (!ref.IsRooted(node))
+        ++fragment_members;
+    }
+    for (const NodeId id : members) {
+      EXPECT_EQ(tree.IsRootedOutside(id, kNoNode),
+                tree.InTree(id) && tree.IsRooted(id))
+          << "node " << id;
+      for (const NodeId exclude : members)
+        EXPECT_EQ(tree.IsRootedOutside(id, exclude),
+                  tree.InTree(id) && !tree.IsInSubtreeOf(id, exclude) &&
+                      tree.IsRooted(id))
+            << "node " << id << " outside " << exclude;
+    }
   }
+  EXPECT_GT(fragment_roots, 0);
+  EXPECT_GT(fragment_members, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TreeFuzzTest,
